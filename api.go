@@ -260,13 +260,6 @@ func Snapshot(e Engine) Engine { return engine.Snapshot(e) }
 // not track them.
 func ConcurrencyStats(e Engine) (engine.ConcStats, bool) { return engine.ConcStatsOf(e) }
 
-// Synchronized wraps an engine so it can be shared across goroutines.
-//
-// Deprecated: Synchronized is a shim over Concurrent, kept for
-// compatibility; call Concurrent directly in new code, or Serialized for
-// the fully serialized baseline.
-func Synchronized(e Engine) Engine { return engine.Synchronized(e) }
-
 // DurableOptions configures OpenDurable: WAL fsync mode (WALSyncGroup /
 // WALSyncAlways / WALSyncNone), checkpoint rotation threshold, cracking
 // policy, and a file-wrapping hook for fault injection.
@@ -304,8 +297,10 @@ func ParseWALSync(s string) (WALSync, error) { return wal.ParseSyncMode(s) }
 // atomically. For a fresh directory, rel seeds the store; on recovery, rel
 // is ignored — the relation is rebuilt from the checkpoint, the tape is
 // replayed so the adaptive layout comes back warm, and the WAL tail is
-// applied (torn tail truncated). The returned engine is shared-safe (no
-// Concurrent wrapper needed) and should be closed with CloseDurable.
+// applied (torn tail truncated). The returned engine is the Concurrent
+// wrapper with a write-ahead hook — shared-safe, reporting reader-wait
+// statistics like any Concurrent engine — and should be closed with
+// CloseDurable.
 func OpenDurable(kind Kind, rel *Relation, dir string, opts DurableOptions) (Engine, error) {
 	return engine.OpenDurable(kind, rel, dir, opts)
 }
@@ -338,8 +333,8 @@ func Sharded(kind Kind, rel *Relation, n int, opts ShardOptions) Engine {
 	return shard.New(kind, rel, n, opts)
 }
 
-// ServeOptions tunes a Server: worker-pool size, admission-queue capacity,
-// and admission batching of same-attribute queries.
+// ServeOptions tunes a Server: worker-pool size, per-query Timeout,
+// MaxWaiting shed watermark, cracking Policy, and the Snapshot wrapper.
 type ServeOptions = serve.Options
 
 // Server executes queries from many clients against one shared engine
@@ -406,7 +401,7 @@ type RemoteStats = client.Stats
 func Dial(addr string, opts DialOptions) (*RemoteClient, error) { return client.Dial(addr, opts) }
 
 // NetServeOptions tunes a network server: the serving-layer knobs
-// (workers, batching, per-query Timeout, Policy) plus wire limits
+// (workers, per-query Timeout, Policy) plus wire limits
 // (MaxFrame, MaxPipeline).
 type NetServeOptions = netserve.Options
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,6 +68,10 @@ type miniServer struct {
 
 	mu    sync.Mutex
 	conns []net.Conn
+
+	// dropNext makes the next decoded request sever its connection
+	// unanswered: the peer dies while that call is in flight.
+	dropNext atomic.Bool
 }
 
 func startMiniServer(t *testing.T) *miniServer {
@@ -104,7 +109,7 @@ func (m *miniServer) serve(nc net.Conn) {
 			return
 		}
 		req, err := wire.DecodeRequest(payload)
-		if err != nil {
+		if err != nil || m.dropNext.CompareAndSwap(true, false) {
 			nc.Close()
 			return
 		}
@@ -208,7 +213,10 @@ func TestRetryDisabledFailsFast(t *testing.T) {
 	if _, _, err := c.Query(testQuery); err != nil {
 		t.Fatalf("warm-up query: %v", err)
 	}
-	m.closeAll()
+	// Kill the peer while the call is in flight. Severing the conn before
+	// the call raced the pool's background redial, which could heal the
+	// conn first and let the call succeed.
+	m.dropNext.Store(true)
 	if _, _, err := c.Query(testQuery); err == nil {
 		t.Fatal("retry-disabled call on dead conn succeeded")
 	}

@@ -75,7 +75,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrently executing queries (0 = GOMAXPROCS)")
 		snapshot = flag.Bool("snapshot", false, "serve reads from epoch-protected snapshots (lock-free reads; selcrack engines, per shard when sharded)")
 		timeout  = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
-		batch    = flag.Bool("batch", false, "enable admission batching of same-attribute queries")
 		rows     = flag.Int("rows", 200_000, "synthetic relation rows")
 		seed     = flag.Int64("seed", 1, "synthetic relation seed")
 		maxFrame = flag.Int("max-frame", 0, "largest accepted request frame in bytes (0 = default)")
@@ -175,7 +174,6 @@ func main() {
 	opts := netserve.Options{
 		Serve: serve.Options{
 			Workers:    *workers,
-			Batch:      *batch,
 			Timeout:    *timeout,
 			Policy:     pol,
 			MaxWaiting: *maxWait,

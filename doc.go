@@ -98,11 +98,8 @@
 //	res, cost, err := srv.Do(q)          // from any client goroutine
 //
 // Serve adds a bounded multi-client executor with per-query latency
-// capture and optional admission batching of same-attribute queries.
-// Synchronized (the old single-mutex wrapper) is deprecated; it now
-// delegates to Concurrent, and the fully serialized behavior remains
-// available as Serialized for benchmarking (crackbench -clients N
-// measures both).
+// capture. The fully serialized single-mutex wrapper remains available as
+// Serialized for benchmarking (crackbench -clients N measures both).
 //
 // Serving statistics (ServeStats) use conservative nearest-rank
 // percentiles — the fractional rank is rounded upward, never truncated to
@@ -204,7 +201,7 @@
 //
 // Server-side, each connection runs one reader and one writer goroutine;
 // decoded queries dispatch into the same serve.Server the in-process path
-// uses (bounded workers, admission batching, latency stats), with warm
+// uses (bounded workers, latency stats), with warm
 // read-only queries answered inline on the reader to spare a goroutine
 // handoff. ServeOptions.Timeout bounds every query with a distinct
 // ErrServeTimeout counted in the stats; a query that overruns its deadline
@@ -270,10 +267,13 @@
 //	    crackstore.DurableOptions{Sync: crackstore.WALSyncGroup})
 //	defer crackstore.CloseDurable(e)
 //
-// Every acked Insert and Delete is appended to a write-ahead log before it
-// is applied (log order is apply order, so replay reproduces tuple keys),
-// and every reorganizing query is recorded on a crack tape — the redo log
-// of the layout itself. WAL records reuse the wire protocol's
+// The durable engine is the Concurrent wrapper with a write-ahead hook:
+// the same probe/execute protocol serves reads, and inside its writer
+// critical section the hook appends every Insert and Delete to a
+// write-ahead log before it is applied (log order is apply order, so
+// replay reproduces tuple keys) and records every reorganizing query on a
+// crack tape — the redo log of the layout itself — before it runs. Acks
+// wait for durability outside the lock. WAL records reuse the wire protocol's
 // self-validating framing (length, masked length echo, payload CRC32), so
 // a torn tail, a zero-filled preallocation, or a flipped bit truncates the
 // log at the last intact record instead of replaying garbage; the codec is

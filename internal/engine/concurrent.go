@@ -54,9 +54,13 @@ func ConcStatsOf(e Engine) (ConcStats, bool) {
 // Query. Aligned repeat queries therefore run genuinely in parallel, and
 // one crack pays for every reader that was waiting behind it.
 //
+// The same wrapper, given a write-ahead hook, is the durable engine
+// (OpenDurable): the hook logs writes and reorganizing queries inside the
+// writer critical section, so log order equals apply order.
+//
 // Wrapping is idempotent: Concurrent on an engine that is already safe to
-// share (a Concurrent or Serialized wrapper, or an engine carrying the
-// SharedEngine marker, such as the sharded engine) returns it unchanged —
+// share (a Concurrent, durable or Serialized wrapper, or an engine carrying
+// the SharedEngine marker, such as the sharded engine) returns it unchanged —
 // adding a global lock over an engine that manages its own finer-grained
 // locking would serialize it.
 func Concurrent(e Engine) Engine {
@@ -72,8 +76,8 @@ func Concurrent(e Engine) Engine {
 type sharedMarker interface{ SharedEngine() }
 
 // IsShared reports whether e is already safe to share across goroutines:
-// a Concurrent or Serialized wrapper, or any engine implementing the
-// SharedEngine marker method.
+// a Concurrent, durable or Serialized wrapper, or any engine implementing
+// the SharedEngine marker method.
 func IsShared(e Engine) bool {
 	switch e.(type) {
 	case *rwEngine, *syncEngine:
@@ -84,8 +88,9 @@ func IsShared(e Engine) bool {
 }
 
 type rwEngine struct {
-	mu sync.RWMutex
-	e  Engine
+	mu  sync.RWMutex
+	e   Engine
+	dur *durable // write-ahead hook; nil unless opened by OpenDurable
 
 	readerWaitNs atomic.Int64
 	readerWaits  atomic.Int64
@@ -111,8 +116,13 @@ func (s *rwEngine) ConcStats() ConcStats {
 	}
 }
 
-func (s *rwEngine) Name() string { return s.e.Name() + " (concurrent)" }
-func (s *rwEngine) Kind() Kind   { return s.e.Kind() }
+func (s *rwEngine) Name() string {
+	if s.dur != nil {
+		return s.e.Name() + " (durable)"
+	}
+	return s.e.Name() + " (concurrent)"
+}
+func (s *rwEngine) Kind() Kind { return s.e.Kind() }
 
 // SetCrackPolicy forwards the adaptive cracking policy to the wrapped
 // engine under the write lock, reporting whether it cracks.
@@ -138,7 +148,10 @@ func (s *rwEngine) Query(q Query) (Result, Cost) {
 	if res, cost, ok := s.e.QueryRO(q); ok {
 		return res, cost
 	}
-	return s.e.Query(q)
+	s.dur.logCrack(q)
+	res, cost = s.e.Query(q)
+	s.dur.applied()
+	return res, cost
 }
 
 func (s *rwEngine) Probe(q Query) bool {
@@ -153,16 +166,45 @@ func (s *rwEngine) QueryRO(q Query) (Result, Cost, bool) {
 	return s.e.QueryRO(q)
 }
 
+// Insert applies under the write lock. A durable engine logs the tuple
+// first and acks only once the record is durable, waiting outside the lock
+// so concurrent writers share fsyncs; a refused write returns key -1.
 func (s *rwEngine) Insert(vals ...Value) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.e.Insert(vals...)
+	key, ack := s.insertLocked(vals)
+	if !s.dur.wait(ack) {
+		return -1
+	}
+	return key
 }
 
-func (s *rwEngine) Delete(key int) {
+func (s *rwEngine) insertLocked(vals []Value) (int, walAck) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ack, ok := s.dur.logInsert(vals)
+	if !ok {
+		return -1, walAck{}
+	}
+	key := s.e.Insert(vals...)
+	s.dur.applied()
+	return key, ack
+}
+
+// Delete applies under the write lock, logged first on a durable engine
+// (see Insert).
+func (s *rwEngine) Delete(key int) {
+	s.dur.wait(s.deleteLocked(key))
+}
+
+func (s *rwEngine) deleteLocked(key int) walAck {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ack, ok := s.dur.logDelete(key)
+	if !ok {
+		return walAck{}
+	}
 	s.e.Delete(key)
+	s.dur.applied(key)
+	return ack
 }
 
 func (s *rwEngine) Prepare(attrs ...string) time.Duration {

@@ -3,11 +3,11 @@ package engine
 import (
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"crackstore/internal/crack"
+	"crackstore/internal/obs"
 	"crackstore/internal/store"
 	"crackstore/internal/wal"
 )
@@ -70,25 +70,30 @@ type DurStats struct {
 	Wal      wal.Stats
 }
 
-// durEngine makes any engine durable: every acked Insert/Delete is written
-// to a CRC-framed WAL before it is applied, reorganizing queries append
-// their shape to a crack tape, and periodic checkpoints materialize base
-// columns + tombstones + tape into an atomically-replaced snapshot with a
-// fresh WAL segment. It is also a shared-safe wrapper (same probe/execute
-// RWMutex protocol as Concurrent): holding the write lock across
+// durable is the write-ahead hook of a Concurrent wrapper opened by
+// OpenDurable. The wrapper calls it inside its writer critical section:
+// every Insert/Delete is written to a CRC-framed WAL before it is applied,
+// a reorganizing query appends its shape to a crack tape before it runs,
+// and after each apply a checkpoint (base columns + tombstones + tape,
+// atomically replaced, with a fresh WAL segment) is written when the live
+// segment has outgrown its threshold. Holding the write lock across
 // log-append and in-memory apply makes log order equal apply order, which
-// is what lets replay reproduce identical tuple keys.
-type durEngine struct {
-	mu  sync.RWMutex
-	e   Engine
+// is what lets replay reproduce identical tuple keys. Acks wait for
+// durability outside the lock (wait), so concurrent writers share fsyncs.
+//
+// Every method is a no-op on a nil *durable — the hook of a plain
+// Concurrent engine — so the wrapper's call sites stay unconditional.
+// Unless noted, methods require the wrapper's write lock.
+type durable struct {
 	rel *store.Relation
 
 	dir   string
 	width int
 	opts  DurableOptions
 
-	log   *wal.Log
-	cpSeq uint64
+	log       *wal.Log
+	cpSeq     uint64
+	fsyncHist *obs.Histogram // carried across segment rotations; see RegisterMetrics
 
 	tape []wal.Record // cumulative crack tape since seed
 	dead []int        // cumulative tombstoned keys since seed
@@ -99,9 +104,13 @@ type durEngine struct {
 	open DurStats // recovery-time fields, fixed after OpenDurable
 }
 
-// SharedEngine marks the wrapper safe to share; serve and Concurrent must
-// not add another lock on top.
-func (d *durEngine) SharedEngine() {}
+// walAck is a logged write's durability obligation: the log the record
+// went to and the offset an fsync must cover. The zero value is already
+// durable.
+type walAck struct {
+	log *wal.Log
+	end int64
+}
 
 // OpenDurable opens (or creates) a durable engine of the given kind backed
 // by data directory dir. For a fresh directory, rel seeds the store: its
@@ -109,8 +118,22 @@ func (d *durEngine) SharedEngine() {}
 // For an existing directory, rel is ignored — the relation is rebuilt from
 // the checkpoint, the crack tape is replayed to re-crack the recovered
 // layout warm, and the WAL segment tail is applied on top (torn tail
-// truncated). The returned engine carries the SharedEngine marker and
-// needs no Concurrent wrapper.
+// truncated). The returned engine is the Concurrent wrapper with a
+// write-ahead hook: it is already shared-safe and needs no further
+// wrapping.
+//
+// Insert acks only after its record is durable per the sync mode. A
+// refused or failed write returns key -1 and counts in DurStats.WriteErrs;
+// after any storage error the log is poisoned and every subsequent write
+// returns -1 (the durable prefix is unknowable, so acking would lie —
+// restart and recover instead). A Delete whose append is refused applies
+// nothing; one whose durability wait fails stays applied and counts as a
+// write error. Tape appends for reorganizing queries are buffered, never
+// durability-waited: losing an unsynced tape tail costs restart warmth,
+// not correctness, and read latency must not pay for fsyncs. Prepare,
+// JoinInput and SetCrackPolicy are not logged: a restart rebuilds their
+// effects on demand, so prefer DurableOptions.Policy, which is re-applied
+// before tape replay.
 func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions) (Engine, error) {
 	t0 := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -128,9 +151,10 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 		// missing; OpenLog creates it empty, so that order is safe, while
 		// the reverse order could leave a segment with records but no
 		// checkpoint to anchor them.
-		d := &durEngine{e: New(kind, rel), rel: rel, dir: dir, width: len(rel.Order), opts: opts}
+		e := New(kind, rel)
+		d := &durable{rel: rel, dir: dir, width: len(rel.Order), opts: opts}
 		if opts.Policy != nil {
-			SetPolicy(d.e, *opts.Policy)
+			SetPolicy(e, *opts.Policy)
 		}
 		if err := wal.WriteCheckpoint(dir, d.checkpoint(0)); err != nil {
 			return nil, err
@@ -145,7 +169,7 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 			return nil, err
 		}
 		d.open.RecoveryTime = time.Since(t0)
-		return d, nil
+		return &rwEngine{e: e, dur: d}, nil
 	}
 
 	// Recovery. The clean marker is consumed up front (whatever happens
@@ -157,12 +181,13 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 	for i, attr := range cp.Attrs {
 		rrel.MustColumn(attr).Vals = cp.Cols[i]
 	}
-	d := &durEngine{e: New(kind, rrel), rel: rrel, dir: dir, width: len(cp.Attrs), opts: opts, cpSeq: cp.Seq}
+	e := New(kind, rrel)
+	d := &durable{rel: rrel, dir: dir, width: len(cp.Attrs), opts: opts, cpSeq: cp.Seq}
 	if opts.Policy != nil {
-		SetPolicy(d.e, *opts.Policy)
+		SetPolicy(e, *opts.Policy)
 	}
 	for _, k := range cp.Dead {
-		d.e.Delete(k)
+		e.Delete(k)
 	}
 	d.dead = cp.Dead
 
@@ -173,7 +198,7 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 	// order). This is what makes the restart warm rather than correct-but-
 	// cold.
 	for _, rec := range cp.Tape {
-		d.e.Query(tapeQuery(rec))
+		e.Query(tapeQuery(rec))
 	}
 	d.tape = cp.Tape
 
@@ -183,20 +208,14 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	replayErr := func() error {
-		n, err := wal.Scan(raw, func(_ int64, rec wal.Record) error {
-			return d.applyReplay(cp.Seq, rec)
-		})
-		if err != nil {
-			return err
-		}
-		d.open.TruncatedBytes = int64(len(raw)) - n
-		return nil
-	}()
-	if replayErr != nil {
-		return nil, replayErr
+	n, err := wal.Scan(raw, func(_ int64, rec wal.Record) error {
+		return d.applyReplay(e, cp.Seq, rec)
+	})
+	if err != nil {
+		return nil, err
 	}
-	d.open.ReplayedBytes = int64(len(raw)) - d.open.TruncatedBytes
+	d.open.TruncatedBytes = int64(len(raw)) - n
+	d.open.ReplayedBytes = n
 
 	log, torn, err := wal.OpenLog(segPath, walOpts)
 	if err != nil {
@@ -208,25 +227,26 @@ func OpenDurable(kind Kind, rel *store.Relation, dir string, opts DurableOptions
 	d.open.CleanShutdown = hasMarker && mSeq == cp.Seq &&
 		mSize == int64(len(raw)) && torn == 0 && d.open.ReplayedRecords == 0
 	d.open.RecoveryTime = time.Since(t0)
-	return d, nil
+	return &rwEngine{e: e, dur: d}, nil
 }
 
-// applyReplay applies one recovered WAL record to the warm store.
-func (d *durEngine) applyReplay(cpSeq uint64, rec wal.Record) error {
+// applyReplay applies one recovered WAL record to the bare engine e
+// during OpenDurable, before the engine is shared.
+func (d *durable) applyReplay(e Engine, cpSeq uint64, rec wal.Record) error {
 	switch rec.Type {
 	case wal.RecInsert:
 		for i := 0; i+rec.Width <= len(rec.Vals); i += rec.Width {
-			d.e.Insert(rec.Vals[i : i+rec.Width]...)
+			e.Insert(rec.Vals[i : i+rec.Width]...)
 		}
 		d.open.ReplayedRecords++
 	case wal.RecDelete:
 		for _, k := range rec.Keys {
-			d.e.Delete(k)
+			e.Delete(k)
 			d.dead = append(d.dead, k)
 		}
 		d.open.ReplayedRecords++
 	case wal.RecCrack:
-		d.e.Query(tapeQuery(rec))
+		e.Query(tapeQuery(rec))
 		d.tape = append(d.tape, rec)
 		d.open.ReplayedRecords++
 	case wal.RecCheckpoint:
@@ -259,27 +279,92 @@ func crackRecord(q Query) wal.Record {
 	return rec
 }
 
+// logInsert validates the tuple's width and appends its record. ok false
+// means the write is refused and must not be applied.
+func (d *durable) logInsert(vals []Value) (ack walAck, ok bool) {
+	if d == nil {
+		return walAck{}, true
+	}
+	if len(vals) != d.width {
+		d.writeErrs.Add(1)
+		return walAck{}, false
+	}
+	return d.append(wal.Record{Type: wal.RecInsert, Width: d.width, Vals: vals})
+}
+
+// logDelete appends a tombstone record. ok false means the delete is
+// refused and must not be applied — the in-memory state never runs ahead
+// of the log's ordering.
+func (d *durable) logDelete(key int) (ack walAck, ok bool) {
+	if d == nil {
+		return walAck{}, true
+	}
+	return d.append(wal.Record{Type: wal.RecDelete, Keys: []int{key}})
+}
+
+func (d *durable) append(rec wal.Record) (walAck, bool) {
+	end, err := d.log.AppendBuffered(rec)
+	if err != nil {
+		d.writeErrs.Add(1)
+		return walAck{}, false
+	}
+	return walAck{log: d.log, end: end}, true
+}
+
+// logCrack appends a reorganizing query to the crack tape before it runs,
+// so the cuts it makes survive a restart. A failed append still lets the
+// query run: the tape only carries warmth.
+func (d *durable) logCrack(q Query) {
+	if d == nil {
+		return
+	}
+	rec := crackRecord(q)
+	if _, err := d.log.AppendBuffered(rec); err != nil {
+		d.writeErrs.Add(1)
+	}
+	d.tape = append(d.tape, rec)
+}
+
+// applied runs after a logged write or crack has been applied: it records
+// the tombstoned keys (if any) and rotates the WAL into a fresh checkpoint
+// when the live segment has outgrown the configured threshold.
+func (d *durable) applied(dead ...int) {
+	if d == nil {
+		return
+	}
+	d.dead = append(d.dead, dead...)
+	if limit := d.opts.checkpointBytes(); limit > 0 && d.log.Size() >= limit {
+		d.checkpointLocked()
+	}
+}
+
+// wait blocks until ack's record is durable, reporting false (and
+// counting a write error) when the log failed first. Called outside the
+// lock: concurrent writers stack up appends and share fsyncs (group
+// commit). If a checkpoint retired the record's segment meanwhile, step 1
+// of the rotation already fsynced it and the wait returns immediately.
+func (d *durable) wait(ack walAck) bool {
+	if ack.log == nil {
+		return true
+	}
+	if err := ack.log.WaitDurable(ack.end); err != nil {
+		d.writeErrs.Add(1)
+		return false
+	}
+	return true
+}
+
 // checkpoint materializes the current state (caller holds the write lock,
 // or is inside OpenDurable before the engine is shared). The base-column
 // slices are referenced, not copied: the relation is append-only and the
 // encode completes before the lock is released.
-func (d *durEngine) checkpoint(seq uint64) *wal.Checkpoint {
+func (d *durable) checkpoint(seq uint64) *wal.Checkpoint {
 	cp := &wal.Checkpoint{Seq: seq, Name: d.rel.Name, Attrs: d.rel.Order, Dead: d.dead, Tape: d.tape}
 	cp.Cols = make([][]store.Value, len(d.rel.Order))
 	for i, attr := range d.rel.Order {
 		cp.Cols[i] = d.rel.MustColumn(attr).Vals
 	}
 	return cp
-}
-
-// maybeCheckpointLocked rotates the WAL when the live segment has outgrown
-// the configured threshold. Caller holds the write lock.
-func (d *durEngine) maybeCheckpointLocked() {
-	limit := d.opts.checkpointBytes()
-	if limit <= 0 || d.log.Size() < limit {
-		return
-	}
-	d.checkpointLocked()
 }
 
 // checkpointLocked writes a fresh checkpoint and swaps to a new WAL
@@ -297,7 +382,7 @@ func (d *durEngine) maybeCheckpointLocked() {
 // Failing before step 3 keeps the old pair authoritative; failing after it
 // leaves the new pair authoritative with at worst a stale segment file
 // that recovery ignores.
-func (d *durEngine) checkpointLocked() {
+func (d *durable) checkpointLocked() {
 	if err := d.log.Sync(); err != nil {
 		d.writeErrs.Add(1)
 		return
@@ -314,6 +399,9 @@ func (d *durEngine) checkpointLocked() {
 		d.writeErrs.Add(1)
 		return
 	}
+	if d.fsyncHist != nil {
+		newLog.ObserveFsync(d.fsyncHist)
+	}
 	// The checkpoint on disk now names the new segment; from here the swap
 	// must happen even if the marker append fails (a poisoned new log
 	// refuses acks, which is safe — staying on the old log would ack
@@ -329,11 +417,9 @@ func (d *durEngine) checkpointLocked() {
 	wal.RemoveSegmentsExcept(d.dir, seq)
 }
 
-// Close makes the store durable and marks the shutdown clean: final fsync,
+// close makes the store durable and marks the shutdown clean: final fsync,
 // final checkpoint (so the next open replays nothing), clean marker, close.
-func (d *durEngine) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *durable) close() error {
 	if err := d.log.Sync(); err != nil {
 		d.log.Close()
 		return err
@@ -350,10 +436,9 @@ func (d *durEngine) Close() error {
 	return d.log.Close()
 }
 
-// DurStats returns a snapshot of the durability counters.
-func (d *durEngine) DurStats() DurStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+// stats snapshots the durability counters (caller holds at least the read
+// lock).
+func (d *durable) stats() DurStats {
 	s := d.open
 	s.TapeLen = len(d.tape)
 	s.Checkpoints = d.checkpoints.Load()
@@ -363,159 +448,33 @@ func (d *durEngine) DurStats() DurStats {
 	return s
 }
 
-// DurObservable is implemented by durable engines.
-type DurObservable interface {
-	DurStats() DurStats
+// durableOf returns e as a durable wrapper, or nil when e is not durable.
+func durableOf(e Engine) *rwEngine {
+	if s, ok := e.(*rwEngine); ok && s.dur != nil {
+		return s
+	}
+	return nil
 }
 
 // DurStatsOf extracts durability statistics from e if it is durable.
 func DurStatsOf(e Engine) (DurStats, bool) {
-	if o, ok := e.(DurObservable); ok {
-		return o.DurStats(), true
+	s := durableOf(e)
+	if s == nil {
+		return DurStats{}, false
 	}
-	return DurStats{}, false
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.dur.stats(), true
 }
 
 // CloseDurable checkpoints and closes a durable engine, reporting false
 // when e is not one.
 func CloseDurable(e Engine) (bool, error) {
-	if d, ok := e.(*durEngine); ok {
-		return true, d.Close()
+	s := durableOf(e)
+	if s == nil {
+		return false, nil
 	}
-	return false, nil
-}
-
-// ---------------------------------------------------------------------------
-// Engine interface.
-
-func (d *durEngine) Name() string { return d.e.Name() + " (durable)" }
-func (d *durEngine) Kind() Kind   { return d.e.Kind() }
-
-// SetCrackPolicy forwards the policy under the write lock. Prefer
-// DurableOptions.Policy: a policy set after queries ran is not recorded
-// and therefore not re-applied before tape replay on recovery.
-func (d *durEngine) SetCrackPolicy(pol crack.Policy) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return SetPolicy(d.e, pol)
-}
-
-// Insert logs the tuple, applies it, and acks only after the record is
-// durable per the sync mode. A refused or failed write returns key -1 and
-// counts in DurStats.WriteErrs; after any storage error the log is
-// poisoned and every subsequent write returns -1 (the durable prefix is
-// unknowable, so acking would lie — restart and recover instead).
-func (d *durEngine) Insert(vals ...Value) int {
-	if len(vals) != d.width {
-		d.writeErrs.Add(1)
-		return -1
-	}
-	rec := wal.Record{Type: wal.RecInsert, Width: d.width, Vals: vals}
-	d.mu.Lock()
-	log := d.log
-	end, err := log.AppendBuffered(rec)
-	if err != nil {
-		d.mu.Unlock()
-		d.writeErrs.Add(1)
-		return -1
-	}
-	key := d.e.Insert(vals...)
-	d.maybeCheckpointLocked()
-	d.mu.Unlock()
-	// The durability wait happens outside the lock: concurrent inserts
-	// stack up appends and share fsyncs (group commit). If a checkpoint
-	// retired this record's segment meanwhile, step 1 of the rotation
-	// already fsynced it and the wait returns immediately.
-	if err := log.WaitDurable(end); err != nil {
-		d.writeErrs.Add(1)
-		return -1
-	}
-	return key
-}
-
-// Delete logs and applies a tombstone. A refused append applies nothing
-// (the in-memory state never runs ahead of the log's ordering); a failed
-// durability wait counts as a write error, with the tombstone applied —
-// the poisoned log stops all further acks anyway.
-func (d *durEngine) Delete(key int) {
-	rec := wal.Record{Type: wal.RecDelete, Keys: []int{key}}
-	d.mu.Lock()
-	log := d.log
-	end, err := log.AppendBuffered(rec)
-	if err != nil {
-		d.mu.Unlock()
-		d.writeErrs.Add(1)
-		return
-	}
-	d.e.Delete(key)
-	d.dead = append(d.dead, key)
-	d.maybeCheckpointLocked()
-	d.mu.Unlock()
-	if err := log.WaitDurable(end); err != nil {
-		d.writeErrs.Add(1)
-	}
-}
-
-// Query runs the probe/execute protocol (see Concurrent): read-only under
-// the shared lock, exclusive only when reorganization is needed — and a
-// reorganizing query is appended to the crack tape before it runs, so the
-// cuts it makes survive a restart. Tape appends are buffered, never
-// durability-waited: losing an unsynced tape tail costs restart warmth,
-// not correctness, and read latency must not pay for fsyncs.
-func (d *durEngine) Query(q Query) (Result, Cost) {
-	d.mu.RLock()
-	res, cost, ok := d.e.QueryRO(q)
-	d.mu.RUnlock()
-	if ok {
-		return res, cost
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if res, cost, ok := d.e.QueryRO(q); ok {
-		return res, cost
-	}
-	rec := crackRecord(q)
-	if _, err := d.log.AppendBuffered(rec); err != nil {
-		d.writeErrs.Add(1)
-	}
-	d.tape = append(d.tape, rec)
-	res, cost = d.e.Query(q)
-	d.maybeCheckpointLocked()
-	return res, cost
-}
-
-func (d *durEngine) Probe(q Query) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.e.Probe(q)
-}
-
-func (d *durEngine) QueryRO(q Query) (Result, Cost, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.e.QueryRO(q)
-}
-
-// Prepare runs under the write lock and is not logged: presorted copies
-// are derivable state and self-organizing engines no-op here, so a restart
-// merely rebuilds them on demand.
-func (d *durEngine) Prepare(attrs ...string) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.e.Prepare(attrs...)
-}
-
-func (d *durEngine) Storage() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.e.Storage()
-}
-
-// JoinInput cracks both inputs under the write lock (see Concurrent). The
-// reorganization it causes is not tape-recorded — join warmth is rebuilt
-// on demand after a restart.
-func (d *durEngine) JoinInput(preds []AttrPred, joinAttr string, projs []string) (JoinInput, Cost) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.e.JoinInput(preds, joinAttr, projs)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return true, s.dur.close()
 }

@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"crackstore/internal/faultnet"
+	"crackstore/internal/obs"
 	"crackstore/internal/store"
 	"crackstore/internal/wal"
 )
@@ -614,4 +616,64 @@ func TestDurableFaultInjection(t *testing.T) {
 		t.Fatalf("recovered %d sentinels, acked %d, submitted 300", res.N, len(acked))
 	}
 	CloseDurable(rec)
+}
+
+// TestDurableRegisterMetrics: RegisterMetrics on a durable engine registers
+// the kernel, reader-contention and WAL families, including the live fsync
+// histogram, and that histogram keeps observing after a checkpoint rotated
+// the WAL onto a new segment.
+func TestDurableRegisterMetrics(t *testing.T) {
+	e, err := OpenDurable(SelCrack, durSeedRel(), t.TempDir(), DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: 512})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer CloseDurable(e)
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg, e)
+	have := map[string]bool{}
+	for _, f := range reg.Families() {
+		have[f] = true
+	}
+	for _, want := range []string{
+		"crack_kernel_crack_in_two_total", "crack_kernel_tuples_moved_total", "crack_index_pieces",
+		"crack_engine_reader_waits_total",
+		"crack_wal_appends_total", "crack_wal_fsyncs_total", "crack_wal_checkpoints_total",
+		"crack_wal_write_errors_total", "crack_wal_tape_records", "crack_wal_fsync_seconds",
+	} {
+		if !have[want] {
+			t.Errorf("family %s not registered on a durable engine", want)
+		}
+	}
+	h := reg.FindHistogram("crack_wal_fsync_seconds")
+	if h == nil {
+		t.Fatal("crack_wal_fsync_seconds is not a histogram")
+	}
+
+	for i := 0; i < 100; i++ {
+		if key := e.Insert(durSentinelBase+store.Value(i), 1, 2); key < 0 {
+			t.Fatalf("insert %d refused", i)
+		}
+	}
+	e.Query(Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(100, 300)}}, Projs: []string{"B"}})
+	st, _ := DurStatsOf(e)
+	if st.Checkpoints == 0 {
+		t.Fatal("100 inserts over a 512-byte threshold rotated nothing")
+	}
+	before := h.Count()
+	if before == 0 {
+		t.Fatal("fsync histogram observed nothing")
+	}
+	e.Insert(durSentinelBase+1000, 1, 2)
+	if h.Count() <= before {
+		t.Fatal("fsync histogram stopped observing after a WAL rotation")
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"crack_wal_fsync_seconds_bucket", "crack_kernel_crack_in_three_total ", "crack_wal_appends_total "} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
 }

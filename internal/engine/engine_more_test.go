@@ -122,8 +122,8 @@ func TestJoinCostTotal(t *testing.T) {
 func TestSynchronizedConcurrentUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rel := buildRel(rng, 1000, []string{"A", "B"}, 200)
-	e := Synchronized(New(Sideways, cloneRel(rel)))
-	if Synchronized(e) != e {
+	e := Concurrent(New(Sideways, cloneRel(rel)))
+	if Concurrent(e) != e {
 		t.Fatal("double-wrapping should be a no-op")
 	}
 	if e.Kind() != Sideways {
@@ -170,7 +170,7 @@ func TestSynchronizedConcurrentUse(t *testing.T) {
 
 func TestSynchronizedJoinInput(t *testing.T) {
 	rel := buildRel(rand.New(rand.NewSource(6)), 100, []string{"A", "B", "C"}, 30)
-	e := Synchronized(New(Scan, cloneRel(rel)))
+	e := Concurrent(New(Scan, cloneRel(rel)))
 	ji, _ := e.JoinInput([]AttrPred{{Attr: "A", Pred: store.Range(0, 30)}}, "C", []string{"B"})
 	if len(ji.JoinVals) == 0 {
 		t.Skip("degenerate: no matches")

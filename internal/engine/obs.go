@@ -119,14 +119,6 @@ func (s *syncEngine) KernelReport() (KernelReport, bool) {
 	return KernelReportOf(s.e)
 }
 
-// KernelReport forwards under the read lock (writers hold it
-// exclusively while logging and applying).
-func (d *durEngine) KernelReport() (KernelReport, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return KernelReportOf(d.e)
-}
-
 func addKernel(r *KernelReport, ks crack.KernelStats) {
 	r.InTwo += uint64(ks.InTwo)
 	r.InThree += uint64(ks.InThree)
@@ -181,8 +173,12 @@ func RegisterMetrics(r *obs.Registry, e Engine) {
 		r.GaugeFunc("crack_wal_tape_records", "crack-tape records since the relation was seeded", func() float64 { return float64(ds().TapeLen) })
 		r.GaugeFunc("crack_wal_replayed_records", "WAL records replayed on top of the checkpoint at open", func() float64 { return float64(ds().ReplayedRecords) })
 	}
-	if d, ok := e.(*durEngine); ok {
-		d.log.ObserveFsync(r.Histogram("crack_wal_fsync_seconds", "fsync syscall latency"))
+	if s := durableOf(e); s != nil {
+		h := r.Histogram("crack_wal_fsync_seconds", "fsync syscall latency")
+		s.mu.Lock()
+		s.dur.fsyncHist = h
+		s.dur.log.ObserveFsync(h)
+		s.mu.Unlock()
 	}
 	r.GaugeFunc("crack_engine_storage_tuples", "auxiliary storage held by the physical design, in tuples", func() float64 { return float64(e.Storage()) })
 }

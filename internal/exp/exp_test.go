@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,24 @@ func TestExp3Shape(t *testing.T) {
 		if len(ys) != 4 {
 			t.Fatalf("%s has %d points", name, len(ys))
 		}
+	}
+}
+
+// TestExp3TinyRows: relations smaller than the 20% intermediate's
+// denominator still get a one-tuple intermediate instead of dividing by
+// zero.
+func TestExp3TinyRows(t *testing.T) {
+	for rows := 1; rows <= 5; rows++ {
+		t.Run(fmt.Sprintf("rows=%d", rows), func(t *testing.T) {
+			cfg := tiny()
+			cfg.Rows = rows
+			res := Exp3(cfg)
+			for name, costs := range res.Cost {
+				if len(costs) != len(res.TRCounts) {
+					t.Fatalf("%s: %d costs for %d TR counts", name, len(costs), len(res.TRCounts))
+				}
+			}
+		})
 	}
 }
 

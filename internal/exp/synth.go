@@ -174,7 +174,7 @@ type Exp3Result struct {
 func Exp3(cfg Config) *Exp3Result {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.Rows
-	resultSize := n / 5 // 20% selectivity intermediate
+	resultSize := max(n/5, 1) // 20% selectivity intermediate, never empty
 	cols := make([]*store.Column, 8)
 	for i := range cols {
 		vals := make([]Value, n)

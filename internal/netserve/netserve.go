@@ -2,7 +2,7 @@
 // a TCP server that speaks the internal/wire protocol and dispatches
 // decoded requests into a serve.Server, so remote clients
 // (crackstore/client, cmd/crackserved) reach the same bounded-concurrency,
-// admission-batched, latency-tracked execution path in-process callers get.
+// latency-tracked execution path in-process callers get.
 //
 // Each accepted connection runs exactly two long-lived goroutines: a reader
 // that decodes frames and dispatches each request on its own (pipeline-
@@ -45,7 +45,7 @@ import (
 // Options tunes the network server.
 type Options struct {
 	// Serve configures the underlying serving layer (worker pool,
-	// admission batching, per-query Timeout, cracking Policy).
+	// per-query Timeout, cracking Policy).
 	Serve serve.Options
 	// MaxFrame caps frame sizes in both directions: request frames
 	// announcing more are rejected without allocation, and a response
@@ -709,7 +709,7 @@ func (s *Server) exec(req *wire.Request, arrival time.Time) (resp *wire.Response
 		// Read-only requests stay inside the serving layer so the worker
 		// bound, per-query deadline, and statistics apply to them exactly
 		// as to full queries. TryRO covers the common case; when it
-		// declines for lack of a free slot (or batching mode) rather than
+		// declines for lack of a free slot rather than
 		// because the query would reorganize, fall through to Do — for a
 		// reorganization-free query that is the same read-only execution,
 		// just queued fairly behind the pool. Traced requests skip TryRO:
@@ -734,7 +734,16 @@ func (s *Server) exec(req *wire.Request, arrival time.Time) (resp *wire.Response
 		}
 		resp.Result, resp.Cost = res, cost
 	case wire.OpInsert:
-		resp.Key = s.srv.Engine().Insert(req.Vals...)
+		key := s.srv.Engine().Insert(req.Vals...)
+		if key < 0 {
+			// The engine refused the write (a durable engine whose log is
+			// poisoned). Key -1 is not a valid wire key, so it must travel
+			// as an in-band error, not as an OK response.
+			resp.Status = wire.StatusErr
+			resp.Err = "netserve: insert refused by the engine"
+			return resp
+		}
+		resp.Key = key
 	case wire.OpDelete:
 		s.srv.Engine().Delete(req.Key)
 	case wire.OpPing:

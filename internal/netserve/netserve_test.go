@@ -12,8 +12,10 @@ import (
 
 	"crackstore/client"
 	"crackstore/internal/engine"
+	"crackstore/internal/faultnet"
 	"crackstore/internal/serve"
 	"crackstore/internal/store"
+	"crackstore/internal/wal"
 	"crackstore/internal/wire"
 )
 
@@ -300,6 +302,53 @@ func TestInsertArityPanicIsAnError(t *testing.T) {
 	}
 	if _, err := c.Insert(1, 2, 3); err != nil {
 		t.Fatalf("connection unusable after panicking insert: %v", err)
+	}
+}
+
+// TestRefusedInsertIsRemoteError: an insert the engine refuses — a durable
+// engine whose WAL a failed fsync poisoned returns key -1 — comes back as
+// an in-band remote error. It must not arrive as an OK response carrying
+// key -1, which the client rejects as corrupt, tearing down the connection
+// and failing every other call pending on it.
+func TestRefusedInsertIsRemoteError(t *testing.T) {
+	var e engine.Engine
+	for seed := int64(0); seed < 50 && e == nil; seed++ {
+		opts := engine.DurableOptions{
+			Sync:            wal.SyncAlways,
+			CheckpointBytes: -1,
+			Wrap: func(f wal.File) wal.File {
+				return faultnet.WrapFile(f, faultnet.FSFaults{Seed: seed, SyncErrRate: 0.5})
+			},
+		}
+		// The injector can fail the open's own segment-marker fsync; scan
+		// seeds until an open survives, keeping the run deterministic.
+		e, _ = engine.OpenDurable(engine.Sideways, buildRel(13, 500, 100), t.TempDir(), opts)
+	}
+	if e == nil {
+		t.Fatal("no seed produced a successful open")
+	}
+	t.Cleanup(func() { engine.CloseDurable(e) })
+	s := startServer(t, e, Options{})
+	c := dial(t, s, client.Options{})
+
+	var err error
+	for i := 0; i < 64 && err == nil; i++ {
+		_, err = c.Insert(store.Value(1000+i), 1, 1)
+	}
+	if err == nil {
+		t.Fatal("no insert refused over a failing fsync")
+	}
+	if strings.Contains(err.Error(), "protocol") || !strings.Contains(err.Error(), "remote") {
+		t.Fatalf("refused insert: want an in-band remote error, got %v", err)
+	}
+	if got := c.Counters().Redials; got != 0 {
+		t.Fatalf("refused insert cost %d redials; the connection must survive", got)
+	}
+	if _, _, err := c.Query(engine.Query{
+		Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(10, 40)}},
+		Projs: []string{"B"},
+	}); err != nil {
+		t.Fatalf("query after refused insert: %v", err)
 	}
 }
 
