@@ -229,9 +229,8 @@ func ClusteredMin(e Engine, attr string) (v Value, ok bool) {
 	return 0, false
 }
 
-// Concurrent wraps an engine with the two-phase (probe/execute) locking
-// protocol so it can be shared across goroutines: queries that reorganize
-// nothing — the vast majority once a workload's ranges are cracked — run
+// Concurrent wraps an engine with a read-write lock built on QueryRO so it
+// can be shared across goroutines: queries that reorganize nothing — the vast majority once a workload's ranges are cracked — run
 // in parallel under a shared read lock, and only queries that must crack,
 // merge pending updates, or maintain auxiliary structures take the
 // exclusive write lock (double-checked, so one crack pays for every

@@ -18,7 +18,7 @@ import (
 
 // concurrentConfig drives the -clients mode: a multi-client serving
 // benchmark over a warm sideways workload, comparing the serialized
-// (global-mutex) baseline against the probe/execute Concurrent wrapper —
+// (global-mutex) baseline against the QueryRO-first Concurrent wrapper —
 // and, with -shards N, against a relation range-partitioned across N
 // independently locked engines.
 type concurrentConfig struct {

@@ -35,7 +35,7 @@
 // With -clients N the command instead runs the concurrent serving
 // benchmark: N client goroutines fire a warm sideways workload through the
 // serving layer, once against the serialized (global-mutex) baseline and
-// once against the probe/execute Concurrent wrapper, reporting aggregate
+// once against the QueryRO-first Concurrent wrapper, reporting aggregate
 // QPS, tail latencies, and error counts. Adding -shards S also measures
 // the relation range-partitioned across S independently locked engines
 // and emits BENCH_sharded_serving.json next to the single-engine series.

@@ -83,15 +83,15 @@
 // # Concurrent serving
 //
 // Cracking makes reads into writes, so the paper's engines assume a single
-// query executor. This package adds a two-phase (probe/execute) protocol
-// on top: every engine can report, read-only, whether a query would
-// physically reorganize anything (Engine.Probe) and can execute
-// reorganization-free queries without mutating state (Engine.QueryRO).
-// Concurrent wraps an engine with a read-write lock built on that
-// protocol — aligned repeat queries run in parallel under the shared
-// lock, and only queries that must crack, merge pending updates, or
-// maintain auxiliary structures serialize behind the exclusive lock
-// (double-checked, so one crack pays for every waiting reader):
+// query executor. Every engine states once, in Engine.QueryRO, whether a
+// query can be answered without reorganizing: QueryRO executes it without
+// mutating state, or declines when the query would crack a piece, merge a
+// pending update, or build or align an auxiliary structure. Concurrent
+// wraps an engine with a read-write lock built on that rule — aligned
+// repeat queries run in parallel under the shared lock, and only queries
+// whose QueryRO declines serialize behind the exclusive lock, where
+// QueryRO runs once more before Query (so one crack pays for every
+// waiting reader):
 //
 //	shared := crackstore.Concurrent(e)   // safe for any number of goroutines
 //	srv := crackstore.Serve(shared, crackstore.ServeOptions{Workers: 8})
@@ -117,7 +117,7 @@
 //     crack — waits its turn. Appropriate for single-client embedding and
 //     as the honest baseline in benchmarks.
 //
-//   - Concurrent: the probe/execute read-write lock above. Aligned warm
+//   - Concurrent: the QueryRO-first read-write lock above. Aligned warm
 //     reads share the lock and scale with cores, but any query that
 //     cracks, or whose range matches a pending insertion, takes (or
 //     waits for) the exclusive lock — so read tail latency inherits the
@@ -268,7 +268,7 @@
 //	defer crackstore.CloseDurable(e)
 //
 // The durable engine is the Concurrent wrapper with a write-ahead hook:
-// the same probe/execute protocol serves reads, and inside its writer
+// the same QueryRO-first read lock serves reads, and inside its writer
 // critical section the hook appends every Insert and Delete to a
 // write-ahead log before it is applied (log order is apply order, so
 // replay reproduces tuple keys) and records every reorganizing query on a

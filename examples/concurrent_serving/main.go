@@ -1,7 +1,7 @@
 // Concurrent serving: many clients, one shared engine. The serving layer
-// wraps the engine in the two-phase (probe/execute) Concurrent protocol,
-// so after a warm-up the clients' aligned repeat queries run genuinely in
-// parallel under a shared read lock — only queries that actually crack new
+// wraps the engine in the QueryRO-first Concurrent wrapper, so after a
+// warm-up the clients' aligned repeat queries run genuinely in parallel
+// under a shared read lock — only queries that actually crack new
 // ranges or merge updates serialize behind the write lock. Compare against
 // the old fully serialized wrapper to see throughput and tail latency
 // improve.

@@ -114,14 +114,14 @@ func (c *Col) applyPendingDeletes(lo, hi int) int {
 	return hi - len(dead)
 }
 
-// SelectRO is the reorganization-free execute path of the two-phase
-// protocol: when the qualifying area already exists and no pending update
-// is relevant it returns the keys of qualifying tuples without touching
-// the column. ok is false when Select would reorganize — crack a piece,
-// merge a pending insertion, or apply a pending deletion inside the area;
-// callers then fall back to Select under exclusive access. Like Select,
-// the returned slice is a view into the column, valid until the next
-// crack. Safe to call concurrently with other readers.
+// SelectRO is the reorganization-free twin of Select: when the qualifying
+// area already exists and no pending update is relevant it returns the keys
+// of qualifying tuples without touching the column. ok is false when Select
+// would reorganize — crack a piece, merge a pending insertion, or apply a
+// pending deletion inside the area; callers then fall back to Select under
+// exclusive access. Like Select, the returned slice is a view into the
+// column, valid until the next crack. Safe to call concurrently with other
+// readers.
 func (c *Col) SelectRO(pred store.Pred) (keys []Value, ok bool) {
 	for _, t := range c.pendIns {
 		if pred.Matches(t.val) {
@@ -140,13 +140,6 @@ func (c *Col) SelectRO(pred store.Pred) (keys []Value, ok bool) {
 		}
 	}
 	return c.P.Tail[lo:hi], true
-}
-
-// NeedsCrack is the read-only probe paired with SelectRO: it reports
-// whether Select(pred) would physically reorganize the column.
-func (c *Col) NeedsCrack(pred store.Pred) bool {
-	_, ok := c.SelectRO(pred)
-	return !ok
 }
 
 // Select is operator crackers.select(A,v1,v2): it merges relevant pending

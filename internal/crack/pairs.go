@@ -610,9 +610,9 @@ func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
 	return lo, hi
 }
 
-// Area is the read-only probe of the two-phase (probe/execute) protocol:
-// if both bounds of pred already exist as live boundaries, the qualifying
-// area [lo, hi) can be read without any physical reorganization and ok is
+// Area is the read-only lookup behind SelectRO and QueryRO: if both
+// bounds of pred already exist as live boundaries, the qualifying area
+// [lo, hi) can be read without any physical reorganization and ok is
 // true. When ok is false, answering pred requires CrackRange (a write).
 func (p *Pairs) Area(pred store.Pred) (lo, hi int, ok bool) {
 	lo, ok1 := p.Idx.Lookup(pred.LowerBound())
@@ -624,13 +624,6 @@ func (p *Pairs) Area(pred store.Pred) (lo, hi int, ok bool) {
 		hi = lo
 	}
 	return lo, hi, true
-}
-
-// NeedsCrack reports whether answering pred would physically reorganize the
-// pairs. Read-only; safe to call concurrently with other readers.
-func (p *Pairs) NeedsCrack(pred store.Pred) bool {
-	_, _, ok := p.Area(pred)
-	return !ok
 }
 
 // RippleInsert inserts the tuple (v, t) into the piece where v belongs,

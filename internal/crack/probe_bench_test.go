@@ -9,11 +9,11 @@ import (
 	"crackstore/internal/store"
 )
 
-// Benchmarks for the read-only fast path of the two-phase protocol: a
-// probe-hit answers a warm predicate entirely under a shared lock
-// (SelectRO), while a probe-miss falls back to the exclusive cracking path
-// (Select). Goroutine counts 1/4/16 show how the shared-lock path scales
-// with available cores while the miss path serializes.
+// Benchmarks for the read-only fast path: a probe-hit answers a warm
+// predicate entirely under a shared lock (SelectRO), while a probe-miss
+// falls back to the exclusive cracking path (Select). Goroutine counts
+// 1/4/16 show how the shared-lock path scales with available cores while the
+// miss path serializes.
 
 func warmCol(n, pool int) (*Col, []store.Pred) {
 	rng := rand.New(rand.NewSource(5))

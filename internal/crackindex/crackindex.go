@@ -181,10 +181,9 @@ func (ix *Index) Lookup(b Bound) (pos int, ok bool) {
 	return 0, false
 }
 
-// Has reports whether a live boundary equal to b exists. It is the
-// read-only probe behind the two-phase (probe/execute) query protocol: a
-// range whose bounds both exist as live boundaries can be answered without
-// any physical reorganization.
+// Has reports whether a live boundary equal to b exists. A range whose
+// bounds both exist as live boundaries can be answered without any
+// physical reorganization.
 func (ix *Index) Has(b Bound) bool {
 	_, ok := ix.Lookup(b)
 	return ok

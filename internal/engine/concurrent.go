@@ -40,8 +40,8 @@ func ConcStatsOf(e Engine) (ConcStats, bool) {
 	return ConcStats{}, false
 }
 
-// Concurrent wraps an engine with the two-phase (probe/execute) locking
-// protocol so it can serve many goroutines at once.
+// Concurrent wraps an engine with a read-write lock built on QueryRO so it
+// can serve many goroutines at once.
 //
 // Cracking engines physically reorganize their structures as a side effect
 // of queries — reads are writes — but after a warm-up the vast majority of
@@ -152,12 +152,6 @@ func (s *rwEngine) Query(q Query) (Result, Cost) {
 	res, cost = s.e.Query(q)
 	s.dur.applied()
 	return res, cost
-}
-
-func (s *rwEngine) Probe(q Query) bool {
-	s.rlock()
-	defer s.mu.RUnlock()
-	return s.e.Probe(q)
 }
 
 func (s *rwEngine) QueryRO(q Query) (Result, Cost, bool) {

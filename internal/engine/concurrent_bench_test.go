@@ -63,7 +63,7 @@ func BenchmarkJoinFetch(b *testing.B) {
 }
 
 // BenchmarkWarmQuery compares the serialized baseline against the
-// probe/execute Concurrent wrapper on an aligned repeat workload, across
+// QueryRO-first Concurrent wrapper on an aligned repeat workload, across
 // client counts. With >1 CPU the Concurrent numbers scale with cores; the
 // serialized ones do not.
 func BenchmarkWarmQuery(b *testing.B) {

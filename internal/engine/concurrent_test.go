@@ -16,7 +16,7 @@ import (
 // goroutine's operation history — which lets the concurrent results be
 // checked, per query, against a sequential replay of that goroutine's
 // operations on a clone. Run with -race in CI; that is what makes the
-// RWMutex probe/execute protocol trustworthy.
+// RWMutex QueryRO-first protocol trustworthy.
 
 const (
 	bandWidth   = 1_000 // value band per goroutine
@@ -158,9 +158,9 @@ func TestConcurrentMatchesSequentialReplay(t *testing.T) {
 	}
 }
 
-// TestConcurrentProbeConsistency checks the protocol contract on a live
-// engine: once a query has run, an identical repeat must probe as
-// reorganization-free and QueryRO must agree with Query.
+// TestConcurrentProbeConsistency checks the QueryRO contract on a live
+// engine: once a query has run, an identical repeat must be answered
+// read-only, and QueryRO must agree with Query.
 func TestConcurrentProbeConsistency(t *testing.T) {
 	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -172,9 +172,6 @@ func TestConcurrentProbeConsistency(t *testing.T) {
 				Projs: []string{"B"},
 			}
 			first, _ := e.Query(q)
-			if e.Probe(q) {
-				t.Fatalf("%v: repeat query still probes as reorganizing", kind)
-			}
 			ro, _, ok := e.QueryRO(q)
 			if !ok {
 				t.Fatalf("%v: QueryRO refused an aligned repeat", kind)
@@ -190,19 +187,19 @@ func TestConcurrentProbeConsistency(t *testing.T) {
 				t.Fatalf("%v: QueryRO multiset differs from Query", kind)
 			}
 
-			// An update relevant to the range must flip the probe back —
+			// An update relevant to the range must make QueryRO refuse —
 			// except for the scan engine, whose inserts land directly in
 			// the base column with nothing pending to merge.
 			e.Insert(Value(60), Value(60))
-			if kind != Scan && !e.Probe(q) {
-				t.Fatalf("%v: probe missed a pending insertion in range", kind)
+			if _, _, ok := e.QueryRO(q); kind != Scan && ok {
+				t.Fatalf("%v: QueryRO missed a pending insertion in range", kind)
 			}
 			res, _ := e.Query(q)
 			if res.N != first.N+1 {
 				t.Fatalf("%v: post-insert N=%d, want %d", kind, res.N, first.N+1)
 			}
-			if e.Probe(q) {
-				t.Fatalf("%v: probe still reorganizing after merge", kind)
+			if _, _, ok := e.QueryRO(q); !ok {
+				t.Fatalf("%v: QueryRO still refuses after merge", kind)
 			}
 		})
 	}

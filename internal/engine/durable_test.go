@@ -333,18 +333,18 @@ func TestDurableWarmRestart(t *testing.T) {
 			}
 			// Warmth: the queries that cracked the dead process's layout
 			// must find the recovered layout already cracked — no
-			// reorganization, which is exactly what Probe reports. Only
+			// reorganization, so QueryRO answers them. Only
 			// single-predicate queries guarantee this: multi-predicate
 			// plans pick their head from live selectivity estimates, so
-			// their probe outcome varies with physical state even on a
-			// never-crashed store.
+			// whether QueryRO answers them varies with physical state even
+			// on a never-crashed store.
 			warm := 0
 			for i, q := range cracked {
 				if len(q.Preds) != 1 {
 					continue
 				}
 				warm++
-				if re.Probe(q) {
+				if _, _, ok := re.QueryRO(q); !ok {
 					t.Fatalf("recovered store cold for replayed query %d: %+v", i, q)
 				}
 			}

@@ -103,27 +103,18 @@ func (c Cost) Total() time.Duration { return c.Sel + c.TR }
 
 // Engine is one physical design wrapping a single relation.
 //
-// Engines follow a two-phase (probe/execute) query protocol: Probe asks,
-// read-only, whether a query would physically reorganize engine state;
-// QueryRO executes reorganization-free queries, reporting ok == false for
-// queries that would reorganize. Concurrent builds on QueryRO: it
-// attempts every query under a shared read lock and falls back to
-// exclusive access only when QueryRO refuses — i.e. when the query must
-// crack, merge pending updates, or maintain auxiliary structures. Probe
-// is the planning-side view of the same eligibility rule, for callers
-// (admission control, schedulers, tests) that want the answer without
-// executing.
+// Cracking makes reads into writes, so every engine states once, in
+// QueryRO, whether a query can be answered without reorganizing: QueryRO
+// executes reorganization-free queries and reports ok == false for
+// queries that would crack a piece, merge a pending update, or build or
+// align an auxiliary structure. Concurrent builds on it: it attempts
+// every query under a shared read lock and falls back to Query under
+// exclusive access only when QueryRO refuses.
 type Engine interface {
 	Name() string
 	Kind() Kind
 	// Query evaluates q and reports the cost split.
 	Query(q Query) (Result, Cost)
-	// Probe is the read-only half of the protocol: it reports whether
-	// Query(q) would physically reorganize engine state — crack a piece,
-	// merge a pending update, or build/align an auxiliary structure. It
-	// never mutates and is safe to call concurrently with other read-only
-	// operations.
-	Probe(q Query) bool
 	// QueryRO answers q without reorganizing anything. ok is false when
 	// reorganization is required; callers then fall back to Query under
 	// exclusive access. Safe to call concurrently with other read-only
@@ -284,9 +275,6 @@ func (e *scanEngine) Query(q Query) (Result, Cost) {
 	cost.TR = time.Since(t0)
 	return res, cost
 }
-
-// Probe: a full scan never reorganizes anything.
-func (e *scanEngine) Probe(q Query) bool { return false }
 
 func (e *scanEngine) QueryRO(q Query) (Result, Cost, bool) {
 	res, cost := e.Query(q)
@@ -473,26 +461,6 @@ func (e *selCrackEngine) Query(q Query) (Result, Cost) {
 	}
 	cost.TR = time.Since(t0)
 	return res, cost
-}
-
-// Probe reports whether q's selections would crack a cracker column or
-// merge a pending update (including the on-demand creation of a missing
-// cracker column).
-func (e *selCrackEngine) Probe(q Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	if q.Disjunctive {
-		for _, ap := range q.Preds {
-			c, ok := e.cols[ap.Attr]
-			if !ok || c.NeedsCrack(ap.Pred) {
-				return true
-			}
-		}
-		return false
-	}
-	c, ok := e.cols[q.Preds[0].Attr]
-	return !ok || c.NeedsCrack(q.Preds[0].Pred)
 }
 
 // selectKeysRO is the reorganization-free twin of selectKeys: it reads the
@@ -688,18 +656,13 @@ func (e *presortEngine) Query(q Query) (Result, Cost) {
 	return res, cost
 }
 
-// Probe reports whether the primary predicate's presorted copy is missing
+// QueryRO refuses when the primary predicate's presorted copy is missing
 // or stale (updates force a full re-sort on the next query).
-func (e *presortEngine) Probe(q Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	primary := q.Preds[0].Attr
-	return e.ps.CopyFor(primary) == nil || e.stale[primary]
-}
-
 func (e *presortEngine) QueryRO(q Query) (Result, Cost, bool) {
-	if e.Probe(q) {
+	if len(q.Preds) == 0 {
+		return Result{}, Cost{}, false
+	}
+	if primary := q.Preds[0].Attr; e.ps.CopyFor(primary) == nil || e.stale[primary] {
 		return Result{}, Cost{}, false
 	}
 	// With a fresh copy the query is a binary search plus aligned scans —
@@ -766,15 +729,6 @@ func (e *sidewaysEngine) Query(q Query) (Result, Cost) {
 	res := e.st.MultiSelect(q.Preds, q.Projs, q.Disjunctive)
 	cost.Sel = time.Since(t0)
 	return Result{Cols: res.Cols, N: res.N}, cost
-}
-
-// Probe reports whether the query would crack a map, merge pending
-// updates, materialize a map, or grow the set's cracker tape.
-func (e *sidewaysEngine) Probe(q Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	return e.st.ProbeMulti(q.Preds, q.Projs, q.Disjunctive)
 }
 
 func (e *sidewaysEngine) QueryRO(q Query) (Result, Cost, bool) {
@@ -850,15 +804,6 @@ func (e *partialEngine) Query(q Query) (Result, Cost) {
 	res := e.st.MultiSelect(q.Preds, q.Projs, q.Disjunctive)
 	cost.Sel = time.Since(t0)
 	return Result{Cols: res.Cols, N: res.N}, cost
-}
-
-// Probe reports whether the query would fetch an area, create or replay a
-// chunk, crack, merge pending updates, or grow an area tape.
-func (e *partialEngine) Probe(q Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	return e.st.ProbeMulti(q.Preds, q.Projs, q.Disjunctive)
 }
 
 func (e *partialEngine) QueryRO(q Query) (Result, Cost, bool) {

@@ -41,12 +41,6 @@ func (s *syncEngine) Query(q Query) (Result, Cost) {
 	return s.e.Query(q)
 }
 
-func (s *syncEngine) Probe(q Query) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.e.Probe(q)
-}
-
 func (s *syncEngine) QueryRO(q Query) (Result, Cost, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

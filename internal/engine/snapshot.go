@@ -35,7 +35,7 @@ func Snapshot(e Engine) Engine {
 }
 
 // snapEngine is the multi-version selection-cracking engine behind
-// Snapshot. Readers (Probe, QueryRO, and Query's fast path) are entirely
+// Snapshot. Readers (QueryRO, and Query's fast path) are entirely
 // lock-free: they pin an epoch, load immutable state through atomic
 // pointers, and copy what they need. Writers (cracking queries, Insert,
 // Delete, JoinInput) serialize on mu and publish every change as a new
@@ -165,26 +165,6 @@ func (e *snapEngine) Storage() int {
 		total += c.Len()
 	}
 	return total
-}
-
-// Probe reports whether q would reorganize: a missing cracker column, a
-// missing cut, or a pending-update backlog due for merging. Lock-free.
-func (e *snapEngine) Probe(q Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	cols := *e.cols.Load()
-	if q.Disjunctive {
-		for _, ap := range q.Preds {
-			c, ok := cols[ap.Attr]
-			if !ok || c.NeedsCrack(ap.Pred) {
-				return true
-			}
-		}
-		return false
-	}
-	c, ok := cols[q.Preds[0].Attr]
-	return !ok || c.NeedsCrack(q.Preds[0].Pred)
 }
 
 // gatherRO collects qualifying keys lock-free from one consistent snapshot

@@ -54,10 +54,18 @@ func TestExp1ShapeAndOutput(t *testing.T) {
 		t.Fatal("missing breakdown table in output")
 	}
 	// Shape: converged sideways must not lose badly to selection cracking
-	// at 8 TRs (the paper's core claim). Medians over the tail keep the
-	// check robust to scheduler noise at test scale.
+	// at 8 TRs (the paper's core claim). The claim is about memory
+	// locality, which no work counter captures, so it stays a wall-clock
+	// check: each side scores its best tail median over five runs. Load
+	// from a busy machine only ever adds time, and a burst that covers one
+	// run's sideways phase rarely covers all five.
 	side := medianTail(res.Series["sideways"][2], 10)
 	selc := medianTail(res.Series["selcrack"][2], 10)
+	for run := 1; run < 5; run++ {
+		r := Exp1(tiny())
+		side = min(side, medianTail(r.Series["sideways"][2], 10))
+		selc = min(selc, medianTail(r.Series["selcrack"][2], 10))
+	}
 	if side > selc*3 {
 		t.Errorf("converged sideways (%v) should not be 3x slower than selcrack (%v)", side, selc)
 	}

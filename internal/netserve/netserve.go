@@ -683,8 +683,12 @@ func (s *Server) exec(req *wire.Request, arrival time.Time) (resp *wire.Response
 		deadline = arrival.Add(req.TTL)
 	}
 	fail := func(err error) *wire.Response {
-		if errors.Is(err, serve.ErrOverloaded) {
+		switch {
+		case errors.Is(err, serve.ErrOverloaded):
 			resp.Status = wire.StatusOverloaded
+			return resp
+		case errors.Is(err, serve.ErrRefused):
+			resp.Status = wire.StatusRefused
 			return resp
 		}
 		resp.Status = wire.StatusErr
@@ -698,41 +702,20 @@ func (s *Server) exec(req *wire.Request, arrival time.Time) (resp *wire.Response
 		sp = new(serve.SpanTimes)
 	}
 	switch req.Op {
-	case wire.OpQuery:
-		res, cost, err := s.srv.DoUntilSpans(req.Query, deadline, sp)
+	case wire.OpQuery, wire.OpQueryRO:
+		// Read-only requests run QueryRO alone, inside the same worker
+		// bound, deadline and statistics as full queries, and never reach
+		// Engine.Query: a query that would reorganize is refused.
+		do := s.srv.DoUntilSpans
+		if req.Op == wire.OpQueryRO {
+			do = s.srv.DoRO
+		}
+		res, cost, err := do(req.Query, deadline, sp)
 		if err != nil {
 			return fail(err)
 		}
 		resp.Result, resp.Cost = res, cost
 		resp.Spans = serverSpans(sp, cost)
-	case wire.OpQueryRO:
-		// Read-only requests stay inside the serving layer so the worker
-		// bound, per-query deadline, and statistics apply to them exactly
-		// as to full queries. TryRO covers the common case; when it
-		// declines for lack of a free slot rather than
-		// because the query would reorganize, fall through to Do — for a
-		// reorganization-free query that is the same read-only execution,
-		// just queued fairly behind the pool. Traced requests skip TryRO:
-		// tracing wants the timed pool path.
-		var res engine.Result
-		var cost engine.Cost
-		ok := false
-		if sp == nil {
-			res, cost, ok = s.srv.TryRO(req.Query)
-		}
-		if !ok {
-			if s.srv.Engine().Probe(req.Query) {
-				resp.Status = wire.StatusRefused
-				return resp
-			}
-			var err error
-			res, cost, err = s.srv.DoUntilSpans(req.Query, deadline, sp)
-			if err != nil {
-				return fail(err)
-			}
-			resp.Spans = serverSpans(sp, cost)
-		}
-		resp.Result, resp.Cost = res, cost
 	case wire.OpInsert:
 		key := s.srv.Engine().Insert(req.Vals...)
 		if key < 0 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/obs"
 	"crackstore/internal/serve"
 	"crackstore/internal/store"
 	"crackstore/internal/wire"
@@ -28,7 +29,6 @@ func (g *stallEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	<-g.gate
 	return engine.Result{N: 1, Cols: map[string][]store.Value{"B": {1}}}, engine.Cost{}
 }
-func (g *stallEngine) Probe(q engine.Query) bool { return true }
 func (g *stallEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	return engine.Result{}, engine.Cost{}, false
 }
@@ -243,5 +243,85 @@ func TestTTLExpiredSkipsExecution(t *testing.T) {
 	}
 	if g.calls.Load() != 1 {
 		t.Fatalf("engine executed %d queries, want 1 (expired one skipped)", g.calls.Load())
+	}
+}
+
+// refusingEngine declines QueryRO for every query except those on
+// attribute "S", which stall on gate (holding the caller's worker slot)
+// and then answer. Query fails the test: an OpQueryRO request must be
+// answered by QueryRO alone, so its only correct answer here is
+// StatusRefused. Kind Scan keeps the inline-RO fast path off, so every
+// request takes the dispatch path.
+type refusingEngine struct {
+	t       *testing.T
+	gate    chan struct{}
+	stalled chan struct{}
+}
+
+func (g *refusingEngine) Name() string      { return "refusing" }
+func (g *refusingEngine) Kind() engine.Kind { return engine.Scan }
+func (g *refusingEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
+	g.t.Errorf("Engine.Query called for %+v", q)
+	return engine.Result{}, engine.Cost{}
+}
+func (g *refusingEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
+	if q.Preds[0].Attr != "S" {
+		return engine.Result{}, engine.Cost{}, false
+	}
+	g.stalled <- struct{}{}
+	<-g.gate
+	return engine.Result{N: 1, Cols: map[string][]store.Value{"B": {1}}}, engine.Cost{}, true
+}
+func (g *refusingEngine) Insert(vals ...store.Value) int        { return 0 }
+func (g *refusingEngine) Delete(key int)                        {}
+func (g *refusingEngine) Prepare(attrs ...string) time.Duration { return 0 }
+func (g *refusingEngine) Storage() int                          { return 0 }
+func (g *refusingEngine) JoinInput(preds []engine.AttrPred, joinAttr string, projs []string) (engine.JoinInput, engine.Cost) {
+	return engine.JoinInput{}, engine.Cost{}
+}
+
+// TestQueryRONeverReachesQuery: a read-only request that would reorganize
+// is refused, never executed — also when it is traced, and when it arrives
+// while the only worker is busy, the two cases that skip the inline read
+// path. A refusal counts as neither a query nor an error.
+func TestQueryRONeverReachesQuery(t *testing.T) {
+	g := &refusingEngine{t: t, gate: make(chan struct{}), stalled: make(chan struct{}, 1)}
+	reg := obs.NewRegistry()
+	s := startServer(t, g, Options{Serve: serve.Options{Workers: 1}, Metrics: reg})
+	r := rawDial(t, s)
+
+	// Traced, with the worker free.
+	r.write(wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpQueryRO, Query: stallQuery, Trace: 9}))
+	if resp := r.read(); resp.ID != 1 || resp.Status != wire.StatusRefused {
+		t.Fatalf("traced read-only request answered %+v, want StatusRefused", resp)
+	}
+
+	// Untraced, queued behind a read-only query that holds the only worker.
+	held := engine.Query{Preds: []engine.AttrPred{{Attr: "S", Pred: store.Range(0, 10)}}, Projs: []string{"B"}}
+	r.write(wire.AppendRequest(nil, &wire.Request{ID: 2, Op: wire.OpQueryRO, Query: held}))
+	<-g.stalled
+	r.write(wire.AppendRequest(nil, &wire.Request{ID: 3, Op: wire.OpQueryRO, Query: stallQuery}))
+	waiting := `"crack_serve_waiting":{"type":"gauge","value":1}`
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var b strings.Builder
+		reg.WriteJSON(&b)
+		if strings.Contains(b.String(), waiting) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("request 3 never waited for the worker")
+		}
+	}
+	close(g.gate)
+	got := map[uint64]wire.Status{}
+	for i := 0; i < 2; i++ {
+		resp := r.read()
+		got[resp.ID] = resp.Status
+	}
+	if got[2] != wire.StatusOK || got[3] != wire.StatusRefused {
+		t.Fatalf("statuses %v, want 2: OK, 3: Refused", got)
+	}
+	if st := s.Stats(); st.Queries != 1 || st.Errors != 0 {
+		t.Fatalf("Stats Queries=%d Errors=%d, want 1 and 0", st.Queries, st.Errors)
 	}
 }

@@ -2,13 +2,16 @@
 // executor that runs queries from many clients against one shared engine,
 // with per-query latency capture.
 //
-// The layer builds on the engine two-phase (probe/execute) protocol: the
-// engine is wrapped in engine.Concurrent, so reorganization-free queries —
-// the vast majority after a warm-up — run in parallel under a shared read
-// lock, and only queries that must crack, merge pending updates, or
-// maintain auxiliary structures serialize behind the write lock. A query
-// queued behind a crack re-checks the read-only path once it holds the
-// write lock, so one crack pays for every waiter on the same range.
+// The layer builds on Engine.QueryRO, the one place an engine states
+// whether a query can be answered without reorganizing. The engine is
+// wrapped in engine.Concurrent (engine.Snapshot with Options.Snapshot), so
+// reorganization-free queries — the vast majority after a warm-up — run
+// in parallel, and only queries whose QueryRO declines (they must crack,
+// merge pending updates, or maintain auxiliary structures) serialize
+// behind the write lock. A query queued behind a crack re-runs QueryRO
+// once it holds the write lock, so one crack pays for every waiter on the
+// same range. Read-only requests (TryRO, DoRO) run QueryRO alone: a query
+// that would reorganize is declined, never executed.
 //
 // Queries execute directly on the submitting goroutine under a
 // concurrency-limiting semaphore (Workers slots) — no handoff, no context
@@ -97,6 +100,12 @@ var ErrEmptyQuery = errors.New("serve: query has no predicates")
 // query completes — whether it was still waiting for a slot or already
 // executing. Timed-out queries count in Stats.Errors.
 var ErrTimeout = errors.New("serve: query deadline exceeded")
+
+// ErrRefused is returned by DoRO when answering the query would reorganize
+// the engine (Engine.QueryRO declined). Nothing executed, and a refusal is
+// an answer, not a failure: it counts in neither Stats.Queries nor
+// Stats.Errors.
+var ErrRefused = errors.New("serve: query would reorganize")
 
 // ErrOverloaded is returned by Do when Options.MaxWaiting is set and the
 // wait backlog is at the watermark: the query was shed without executing.
@@ -207,9 +216,11 @@ type Server struct {
 	last   time.Time // last completion
 }
 
-// New starts a server over e. Unless e is already a shared-safe wrapper
-// (engine.Concurrent or engine.Serialized), it is wrapped in
-// engine.Concurrent. Close waits for in-flight queries.
+// New starts a server over e. Unless e is already safe to share
+// (engine.IsShared: a Concurrent, Snapshot, durable or Serialized
+// wrapper, or a shard engine), it is wrapped in engine.Snapshot when
+// Options.Snapshot is set and in engine.Concurrent otherwise. Close waits
+// for in-flight queries.
 func New(e engine.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
 	if opts.Policy != nil {
@@ -248,7 +259,7 @@ func (s *Server) Do(q engine.Query) (engine.Result, engine.Cost, error) {
 // returns ErrTimeout with the same exactly-once accounting and no-slot-leak
 // guarantees as Options.Timeout.
 func (s *Server) DoUntil(q engine.Query, deadline time.Time) (engine.Result, engine.Cost, error) {
-	return s.doUntil(q, deadline, nil)
+	return s.doUntil(q, deadline, nil, false)
 }
 
 // DoUntilSpans is DoUntil for traced queries: on success, sp receives
@@ -256,7 +267,16 @@ func (s *Server) DoUntil(q engine.Query, deadline time.Time) (engine.Result, eng
 // response spans). Passing sp costs two extra clock reads on this call
 // only; untraced calls through DoUntil are unaffected.
 func (s *Server) DoUntilSpans(q engine.Query, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
-	return s.doUntil(q, deadline, sp)
+	return s.doUntil(q, deadline, sp, false)
+}
+
+// DoRO is DoUntilSpans for read-only requests: it runs Engine.QueryRO in
+// place of Engine.Query under the same slot wait, deadline and stats
+// handling, and returns ErrRefused when answering would reorganize. It
+// never calls Engine.Query, so no check-then-act window lets a concurrent
+// write turn a read-only request into a crack. sp may be nil.
+func (s *Server) DoRO(q engine.Query, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
+	return s.doUntil(q, deadline, sp, true)
 }
 
 // timed reports whether this call must capture phase boundaries — for a
@@ -265,7 +285,7 @@ func (s *Server) timed(sp *SpanTimes) bool {
 	return sp != nil || s.met != nil
 }
 
-func (s *Server) doUntil(q engine.Query, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
+func (s *Server) doUntil(q engine.Query, deadline time.Time, sp *SpanTimes, ro bool) (engine.Result, engine.Cost, error) {
 	if len(q.Preds) == 0 {
 		return engine.Result{}, engine.Cost{}, ErrEmptyQuery
 	}
@@ -294,7 +314,7 @@ func (s *Server) doUntil(q engine.Query, deadline time.Time, sp *SpanTimes) (eng
 		return engine.Result{}, engine.Cost{}, ErrOverloaded
 	}
 	if !deadline.IsZero() {
-		return s.doDeadline(q, t0, deadline, sp)
+		return s.doDeadline(q, t0, deadline, sp, ro)
 	}
 	// Execute on this goroutine under the semaphore. The uncontended
 	// acquire is non-blocking so the warm path can skip the mid-query clock
@@ -316,11 +336,13 @@ func (s *Server) doUntil(q engine.Query, deadline time.Time, sp *SpanTimes) (eng
 	if sp != nil || (waited && s.met != nil) {
 		t1 = time.Now()
 	}
-	res, cost, err := safeQuery(s.e, q)
+	res, cost, err := safeQuery(s.e, q, ro)
 	<-s.sem
 	end := time.Now()
 	if err != nil {
-		s.recordError(t0, end)
+		if err != ErrRefused {
+			s.recordError(t0, end)
+		}
 		return res, cost, err
 	}
 	if sp != nil {
@@ -368,24 +390,17 @@ func (s *Server) TryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	default: // all slots busy: let Do queue fairly
 		return engine.Result{}, engine.Cost{}, false
 	}
-	res, cost, ok := safeQueryRO(s.e, q)
+	// A panicking query reports !ok too, so the fallback surfaces the error.
+	res, cost, err := safeQuery(s.e, q, true)
 	<-s.sem
-	if !ok {
+	if err != nil {
 		return engine.Result{}, engine.Cost{}, false
 	}
+	// The slot was taken without waiting: observe the zero wait, as Do's
+	// uncontended path does, so the queue histogram counts every query.
+	s.met.observeQueue(0)
 	s.record(time.Since(t0), t0)
 	return res, cost, true
-}
-
-// safeQueryRO is QueryRO with the same panic conversion as safeQuery; a
-// panicking query reports !ok so the Do fallback surfaces the error.
-func safeQueryRO(e engine.Engine, q engine.Query) (res engine.Result, cost engine.Cost, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	return e.QueryRO(q)
 }
 
 // outcome carries a detached execution's answer back to its Do call.
@@ -401,7 +416,7 @@ type outcome struct {
 // ErrTimeout to the caller immediately while the execution finishes in the
 // background and releases the slot itself — expiry can neither interrupt an
 // engine mid-crack nor leak the slot.
-func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTimes) (engine.Result, engine.Cost, error) {
+func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTimes, ro bool) (engine.Result, engine.Cost, error) {
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	s.waiting.Add(1)
@@ -424,15 +439,14 @@ func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTime
 	s.bg.Add(1)
 	go func() {
 		defer s.bg.Done()
-		res, cost, err := safeQuery(s.e, q)
+		res, cost, err := safeQuery(s.e, q, ro)
 		<-s.sem
 		end := time.Now()
 		if !claimed.CompareAndSwap(false, true) {
 			return // caller timed out and accounted for the query; discard
 		}
-		if err != nil {
-			s.recordError(t0, end)
-		} else {
+		switch {
+		case err == nil:
 			if s.timed(sp) {
 				if sp != nil {
 					// Written before the ch send; the caller reads only
@@ -442,6 +456,8 @@ func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTime
 				s.met.observeQueue(t1.Sub(t0))
 			}
 			s.record(end.Sub(t0), t0)
+		case err != ErrRefused: // a refusal is neither a success nor an error
+			s.recordError(t0, end)
 		}
 		ch <- outcome{res, cost, err}
 	}()
@@ -460,16 +476,25 @@ func (s *Server) doDeadline(q engine.Query, t0, deadline time.Time, sp *SpanTime
 	}
 }
 
-// safeQuery converts an engine panic (e.g. a predicate naming a column the
-// relation does not have) into an error, so a malformed query can neither
-// leak a semaphore slot nor escape to the caller's goroutine.
-func safeQuery(e engine.Engine, q engine.Query) (res engine.Result, cost engine.Cost, err error) {
+// safeQuery runs q through Query, or through QueryRO when ro is set (a
+// declined QueryRO returns ErrRefused). It converts an engine panic (e.g.
+// a predicate naming a column the relation does not have) into an error,
+// so a malformed query can neither leak a semaphore slot nor escape to the
+// caller's goroutine.
+func safeQuery(e engine.Engine, q engine.Query, ro bool) (res engine.Result, cost engine.Cost, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: query panicked: %v", r)
 		}
 	}()
-	res, cost = e.Query(q)
+	if !ro {
+		res, cost = e.Query(q)
+		return res, cost, nil
+	}
+	res, cost, ok := e.QueryRO(q)
+	if !ok {
+		return engine.Result{}, engine.Cost{}, ErrRefused
+	}
 	return res, cost, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"crackstore/internal/engine"
+	"crackstore/internal/obs"
 	"crackstore/internal/store"
 )
 
@@ -213,5 +214,60 @@ func TestServeRejectsEmptyQuery(t *testing.T) {
 	defer srv.Close()
 	if _, _, err := srv.Do(engine.Query{}); err != ErrEmptyQuery {
 		t.Fatalf("Do(empty) = %v, want ErrEmptyQuery", err)
+	}
+}
+
+// TestDoRORefusesWithoutExecuting: DoRO answers a query that would
+// reorganize with ErrRefused — with and without a deadline — leaves the
+// engine as cold as it was, and counts the refusal as neither a query nor
+// an error. Once the range is cracked, DoRO answers it.
+func TestDoRORefusesWithoutExecuting(t *testing.T) {
+	rel := buildRel(rand.New(rand.NewSource(6)), 2000, 500)
+	srv := New(engine.New(engine.SelCrack, rel), Options{Workers: 2})
+	defer srv.Close()
+	q := engine.Query{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(100, 140)}}, Projs: []string{"B"}}
+	for _, deadline := range []time.Time{{}, time.Now().Add(time.Minute), {}} {
+		if _, _, err := srv.DoRO(q, deadline, nil); err != ErrRefused {
+			t.Fatalf("cold DoRO(deadline %v) = %v, want ErrRefused", deadline, err)
+		}
+	}
+	if st := srv.Stats(); st.Queries != 0 || st.Errors != 0 {
+		t.Fatalf("after refusals Queries=%d Errors=%d, want 0 and 0", st.Queries, st.Errors)
+	}
+	want, _, err := srv.Do(q)
+	if err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	got, _, err := srv.DoRO(q, time.Now().Add(time.Minute), nil)
+	if err != nil || got.N != want.N {
+		t.Fatalf("warm DoRO = N %d, %v; want N %d", got.N, err, want.N)
+	}
+	if st := srv.Stats(); st.Queries != 2 || st.Errors != 0 {
+		t.Fatalf("Queries=%d Errors=%d, want 2 and 0", st.Queries, st.Errors)
+	}
+}
+
+// TestTryROObservesQueue: every inline TryRO success observes the queue
+// histogram, so its count keeps pace with the latency histogram's (which
+// is the queries_total counter).
+func TestTryROObservesQueue(t *testing.T) {
+	rel := buildRel(rand.New(rand.NewSource(8)), 2000, 500)
+	reg := obs.NewRegistry()
+	srv := New(engine.New(engine.SelCrack, rel), Options{Workers: 2, Metrics: reg})
+	defer srv.Close()
+	q := engine.Query{Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(100, 140)}}, Projs: []string{"B"}}
+	if _, _, err := srv.Do(q); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, _, ok := srv.TryRO(q); !ok {
+			t.Fatalf("TryRO %d declined a warm query", i)
+		}
+	}
+	queue := reg.FindHistogram("crack_serve_queue_seconds").Count()
+	lat := reg.FindHistogram("crack_serve_latency_seconds").Count()
+	if lat != n+1 || queue != lat {
+		t.Fatalf("queue count %d, latency count %d, want both %d", queue, lat, n+1)
 	}
 }

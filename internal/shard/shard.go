@@ -2,14 +2,14 @@
 // range-partitioned (or hash-partitioned) across N inner engines, each
 // independently wrapped in engine.Concurrent.
 //
-// Cracking makes reads into writes, so even the probe/execute protocol of
+// Cracking makes reads into writes, so even the QueryRO-first lock of
 // engine.Concurrent serializes every reader behind a crack — one RWMutex
 // guards the whole relation. Sharding splits that lock: a query that must
 // crack shard 3 takes only shard 3's write lock, while read-only hits on
 // shards 0-2 keep flowing under their shared locks. This is the classic
 // partition/fan-out/merge recipe applied to a self-organizing store, and
-// the probe layer is what makes it safe: every inner engine can report,
-// read-only, whether a query would reorganize it.
+// QueryRO is what makes it safe: every inner engine answers read-only, or
+// declines, whether a query would reorganize it.
 //
 // Partitioning is by value range over a chosen primary attribute: shard i
 // owns the half-open value band [cut[i-1], cut[i]) of that attribute, with
@@ -439,21 +439,6 @@ func (s *Engine) Query(q engine.Query) (engine.Result, engine.Cost) {
 		}
 	}
 	return mergeResults(parts, q.Projs), cost
-}
-
-// Probe reports whether q would physically reorganize any relevant shard.
-// It fans out read-only: no shard's write lock is touched.
-func (s *Engine) Probe(q engine.Query) bool {
-	if len(q.Preds) == 0 {
-		return true
-	}
-	lo, hi := s.span(q)
-	for sh := lo; sh < hi; sh++ {
-		if s.shards[sh].Probe(q) {
-			return true
-		}
-	}
-	return false
 }
 
 // QueryRO answers q if no relevant shard needs to reorganize; ok is false

@@ -259,7 +259,6 @@ func (e *touchyEngine) Query(engine.Query) (engine.Result, engine.Cost) {
 	e.touched("Query")
 	return engine.Result{}, engine.Cost{}
 }
-func (e *touchyEngine) Probe(engine.Query) bool { e.touched("Probe"); return false }
 func (e *touchyEngine) QueryRO(engine.Query) (engine.Result, engine.Cost, bool) {
 	e.touched("QueryRO")
 	return engine.Result{}, engine.Cost{}, true
@@ -270,7 +269,7 @@ func (e *touchyEngine) JoinInput([]engine.AttrPred, string, []string) (engine.Jo
 }
 
 // TestPrunedShardNeverTouched replaces shard 3 with an engine that fails on
-// any call, then runs queries, probes, inserts, and deletes confined to
+// any call, then runs queries, inserts, and deletes confined to
 // shard 0's band: range pruning must keep shard 3 — and therefore its
 // locks — completely out of the picture.
 func TestPrunedShardNeverTouched(t *testing.T) {
@@ -284,7 +283,6 @@ func TestPrunedShardNeverTouched(t *testing.T) {
 	if res, _ := s.Query(q); res.N != 110 {
 		t.Fatalf("query N=%d, want 110", res.N)
 	}
-	s.Probe(q)
 	if _, _, ok := s.QueryRO(q); !ok {
 		t.Fatalf("repeat in-band query refused read-only execution")
 	}
@@ -309,7 +307,6 @@ func (e *gateEngine) Query(q engine.Query) (engine.Result, engine.Cost) {
 	<-e.release
 	return e.inner.Query(q)
 }
-func (e *gateEngine) Probe(q engine.Query) bool { return e.inner.Probe(q) }
 func (e *gateEngine) QueryRO(q engine.Query) (engine.Result, engine.Cost, bool) {
 	return e.inner.QueryRO(q)
 }

@@ -727,19 +727,9 @@ func (s *Store) planRO(preds []AttrPred, projs []string, disjunctive bool) (roPl
 		tailAttrs: tailAttrs, tailOf: tailOf, others: others}, true
 }
 
-// ProbeMulti is the read-only probe of the two-phase (probe/execute)
-// protocol: it reports whether MultiSelect(preds, projs, disjunctive) would
-// physically reorganize the store. Safe for concurrent use with other
-// read-only operations.
-func (s *Store) ProbeMulti(preds []AttrPred, projs []string, disjunctive bool) bool {
-	_, ok := s.planRO(preds, projs, disjunctive)
-	return !ok
-}
-
-// MultiSelectRO is the reorganization-free execute path paired with
-// ProbeMulti: it answers the query only when doing so requires no cracking,
-// no pending-update merge, no map creation, and no tape growth. ok is false
-// otherwise; callers then fall back to MultiSelect under exclusive access.
+// MultiSelectRO is the reorganization-free twin of MultiSelect: it answers
+// the query only when doing so requires no cracking, no pending-update
+// merge, no map creation, and no tape growth. ok is false otherwise; callers then fall back to MultiSelect under exclusive access.
 // Safe for concurrent use with other read-only operations. LFU access
 // counters are bumped atomically; everything else is left untouched.
 func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool) (Result, bool) {

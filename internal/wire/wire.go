@@ -277,13 +277,37 @@ func AppendFrame(buf, payload []byte) []byte {
 	return append(append(buf, hdr[:]...), payload...)
 }
 
+// bodyChunk bounds what a frame header alone can make ReadFrame allocate:
+// a body up to this size gets one exact-size buffer, and a larger one
+// grows only as its bytes arrive.
+const bodyChunk = 64 << 10
+
+// readBody reads an n-byte frame body, doubling its buffer from bodyChunk
+// as bytes arrive, so a peer that announces a huge frame and then stalls
+// or hangs up pins bodyChunk or about twice the bytes it actually sent,
+// not the announced length.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, bodyChunk))
+	off := 0
+	for {
+		m, err := io.ReadFull(r, buf[off:])
+		if off += m; err != nil || off == n {
+			return buf, err
+		}
+		next := make([]byte, min(2*len(buf), n))
+		copy(next, buf)
+		buf = next
+	}
+}
+
 // ReadFrame reads one length-prefixed, checksummed payload from r. A
 // header whose masked length echo disagrees with its length draws
 // ErrChecksum immediately, before any payload read — a corrupted length
 // must never decide how many bytes to wait for, or the reader could stall
 // forever on a mis-framed stream. Frames longer than maxFrame
 // (DefaultMaxFrame when <= 0) return ErrFrameTooLarge before any payload
-// allocation; a payload that fails its CRC returns ErrChecksum — the
+// allocation, and a body over bodyChunk gets a buffer that grows only as
+// its bytes arrive (see readBody); a payload that fails its CRC returns ErrChecksum — the
 // stream carried corruption and the connection should be abandoned. io.EOF
 // is returned only on a clean boundary (no partial header).
 func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
@@ -306,8 +330,8 @@ func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	if uint64(n) > uint64(maxFrame) {
 		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readBody(r, int(n))
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("wire: truncated frame body: %w", io.ErrUnexpectedEOF)
 		}

@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"crackstore/internal/engine"
@@ -171,6 +174,45 @@ func TestReadFrameTruncation(t *testing.T) {
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut at %d: want ErrUnexpectedEOF, got %v", cut, err)
 		}
+	}
+}
+
+// TestReadFrameHostileLength: a valid header announcing a 60 MiB body,
+// followed by one body byte and EOF, is a truncated body — and reading it
+// must not allocate the announced length up front.
+func TestReadFrameHostileLength(t *testing.T) {
+	const announced = 60 << 20
+	var hdr [FrameHeader]byte
+	binary.BigEndian.PutUint32(hdr[:4], announced)
+	binary.BigEndian.PutUint32(hdr[4:8], announced^lenEcho)
+	stream := append(hdr[:], 0x01)
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ReadFrame(bytes.NewReader(stream), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("want truncated-body ErrUnexpectedEOF, got %v", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
+		t.Fatalf("ReadFrame allocated %d bytes per hostile header, want < 1 MiB", per)
+	}
+}
+
+// TestReadFrameLargeBody: a body bigger than the first read chunk, arriving
+// in small pieces, still reads back intact.
+func TestReadFrameLargeBody(t *testing.T) {
+	payload := make([]byte, 5*bodyChunk+123)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	got, err := ReadFrame(iotest.OneByteReader(bytes.NewReader(AppendFrame(nil, payload))), 0)
+	if err != nil {
+		t.Fatalf("ReadFrame: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("large body read back corrupted")
 	}
 }
 
