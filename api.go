@@ -254,9 +254,9 @@ func Serialized(e Engine) Engine { return engine.Serialized(e) }
 func Snapshot(e Engine) Engine { return engine.Snapshot(e) }
 
 // ConcurrencyStats reports reader/writer contention statistics from a
-// shared-safe wrapper: time readers spent blocked (Concurrent), versions
-// published and reclaimed (Snapshot). ok is false when e's wrapper does
-// not track them.
+// lock-based wrapper: the time readers spent blocked (Concurrent). ok is
+// false when e's wrapper does not track them — the Snapshot wrapper,
+// whose readers never block, included.
 func ConcurrencyStats(e Engine) (engine.ConcStats, bool) { return engine.ConcStatsOf(e) }
 
 // DurableOptions configures OpenDurable: WAL fsync mode (WALSyncGroup /

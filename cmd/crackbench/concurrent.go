@@ -151,14 +151,15 @@ func (c concurrentConfig) runMode(name string, build func(*store.Relation) engin
 	}
 	wg.Wait()
 	st := srv.Stats()
+	ss, _ := engine.SnapshotStatsOf(srv.Engine())
 	srv.Close()
 	fmt.Printf("%-22s %8d queries  %3d errors  %10.0f q/s  p50=%-8s p95=%-8s p99=%-8s max=%s",
 		name, st.Queries, st.Errors, st.QPS, st.P50, st.P95, st.P99, st.Max)
 	if st.ReaderWaits > 0 {
 		fmt.Printf("  wait=%s/%d", st.ReaderWait.Round(time.Microsecond), st.ReaderWaits)
 	}
-	if st.Snapshots > 0 {
-		fmt.Printf("  snaps=%d", st.Snapshots)
+	if ss.Published > 0 {
+		fmt.Printf("  snaps=%d", ss.Published)
 	}
 	fmt.Println()
 	return st

@@ -70,7 +70,7 @@ func (c mvccConfig) withDefaults() mvccConfig {
 // current GOMAXPROCS: fresh relation, warm the read pool, then Clients
 // reader goroutines against the serving layer while the background writer
 // (when enabled) cracks attribute C continuously.
-func (c mvccConfig) mvccArm(name string, snapshot, writer bool) serve.Stats {
+func (c mvccConfig) mvccArm(name string, snapshot, writer bool) (serve.Stats, engine.SnapshotStats) {
 	rng := rand.New(rand.NewSource(c.Seed))
 	domain := int64(c.Rows)
 	rel := store.Build("R", c.Rows, []string{"A", "B", "C"}, func(string, int) store.Value {
@@ -163,10 +163,11 @@ func (c mvccConfig) mvccArm(name string, snapshot, writer bool) serve.Stats {
 	stop.Store(true)
 	writerWG.Wait()
 	st := srv.Stats()
+	ss, _ := engine.SnapshotStatsOf(shared)
 	srv.Close()
 	fmt.Printf("%-28s %8d reads  %10.0f q/s  p50=%-8s p99=%-8s max=%-9s wait=%s/%d snaps=%d\n",
-		name, st.Queries, st.QPS, st.P50, st.P99, st.Max, st.ReaderWait.Round(time.Microsecond), st.ReaderWaits, st.Snapshots)
-	return st
+		name, st.Queries, st.QPS, st.P50, st.P99, st.Max, st.ReaderWait.Round(time.Microsecond), st.ReaderWaits, ss.Published)
+	return st, ss
 }
 
 // runMvccBench is the -mvcc entry point.
@@ -184,9 +185,9 @@ func runMvccBench(c mvccConfig) {
 	for _, p := range c.CPUs {
 		runtime.GOMAXPROCS(p)
 		fmt.Printf("\n-- GOMAXPROCS=%d --\n", p)
-		baseline := c.mvccArm(fmt.Sprintf("snapshot no-writer/p=%d", p), true, false)
-		snap := c.mvccArm(fmt.Sprintf("snapshot+writer/p=%d", p), true, true)
-		conc := c.mvccArm(fmt.Sprintf("concurrent+writer/p=%d", p), false, true)
+		baseline, baseSS := c.mvccArm(fmt.Sprintf("snapshot no-writer/p=%d", p), true, false)
+		snap, snapSS := c.mvccArm(fmt.Sprintf("snapshot+writer/p=%d", p), true, true)
+		conc, concSS := c.mvccArm(fmt.Sprintf("concurrent+writer/p=%d", p), false, true)
 
 		if baseline.QPS > 0 && snap.P99 > 0 {
 			ratio := float64(conc.P99) / float64(snap.P99)
@@ -198,16 +199,16 @@ func runMvccBench(c mvccConfig) {
 					p, kept, ratio, snap.P99, conc.P99)
 			}
 		}
-		add := func(name string, st serve.Stats) {
+		add := func(name string, st serve.Stats, ss engine.SnapshotStats) {
 			series = append(series, exp.Series{
 				Name: name, Y: downsample(st.Latencies, mvccMaxSamples), Errors: st.Errors, CPUs: p,
 				ReaderWait: st.ReaderWait, ReaderWaits: st.ReaderWaits,
-				Snapshots: st.Snapshots, Reclaimed: st.Reclaimed,
+				Snapshots: int64(ss.Published), Reclaimed: int64(ss.Reclaimed),
 			})
 		}
-		add(fmt.Sprintf("snapshot no-writer/p=%d", p), baseline)
-		add(fmt.Sprintf("snapshot+writer/p=%d", p), snap)
-		add(fmt.Sprintf("concurrent+writer/p=%d", p), conc)
+		add(fmt.Sprintf("snapshot no-writer/p=%d", p), baseline, baseSS)
+		add(fmt.Sprintf("snapshot+writer/p=%d", p), snap, snapSS)
+		add(fmt.Sprintf("concurrent+writer/p=%d", p), conc, concSS)
 	}
 
 	if c.JSONDir != "" {

@@ -144,9 +144,10 @@
 //
 // ServeOptions.Snapshot selects the Snapshot wrapper in the serving
 // layer, crackserved -snapshot selects it in the daemon, and
-// ConcurrencyStats exposes each wrapper's contention counters (reader
-// wait time under Concurrent; versions published and reclaimed under
-// Snapshot).
+// ConcurrencyStats exposes the Concurrent wrapper's contention counters
+// (reader wait time). Snapshot readers never block, so that wrapper
+// reports no contention; its versions published and reclaimed are the
+// daemon's crack_snapshot_* metrics.
 //
 // # Sharding
 //
@@ -185,9 +186,10 @@
 //	res, cost, err := c.Query(q) // same types as Engine.Query
 //
 // The protocol (internal/wire) is length-prefixed binary: a self-validating
-// 12-byte frame header (payload length, the length again masked by a fixed
-// constant, and a CRC32 of the payload), then a message-type byte, a
-// request-ID varint, and the body. The masked length echo is checked before
+// 12-byte frame header (payload length, the length again masked by a
+// per-format constant, and a CRC32 of the payload — the internal/codec
+// frame the WAL uses too), then a message-type byte, a request-ID varint,
+// and the body. The masked length echo is checked before
 // the length is trusted, so a corrupted header fails immediately instead of
 // mis-framing the stream and stalling the reader on bytes that never
 // arrive. Scalars are varints; result columns are fixed 8-byte words (on a
@@ -273,10 +275,12 @@
 // write-ahead log before it is applied (log order is apply order, so
 // replay reproduces tuple keys) and records every reorganizing query on a
 // crack tape — the redo log of the layout itself — before it runs. Acks
-// wait for durability outside the lock. WAL records reuse the wire protocol's
-// self-validating framing (length, masked length echo, payload CRC32), so
-// a torn tail, a zero-filled preallocation, or a flipped bit truncates the
-// log at the last intact record instead of replaying garbage; the codec is
+// wait for durability outside the lock. WAL records and the checkpoint are
+// internal/codec frames, the wire protocol's self-validating framing
+// (length, masked length echo, payload CRC32) under the WAL's own mask,
+// so a torn tail, a zero-filled preallocation, or a flipped bit truncates
+// the log at the last intact record instead of replaying garbage; both
+// formats decode through codec's one strict decoder, and it is
 // fuzz-pinned (no panics, no unbounded allocation, decode/encode fixed
 // point, longest-valid-prefix recovery at every byte offset).
 //
@@ -375,10 +379,11 @@
 //     on every path of the acquiring function, in the same mode (Lock with
 //     Unlock, RLock with RUnlock), and a held lock is never re-acquired —
 //     the self-deadlock Go's runtime only reports at execution time.
-//   - wirebounds: inside internal/wire, every decode-side preallocation
-//     size derives from consumeLen (or an explicit bound guard), so a
-//     corrupt 5-byte length prefix cannot demand a multi-gigabyte
-//     allocation before validation.
+//   - wirebounds: inside internal/codec, internal/wire and internal/wal,
+//     every decode-side preallocation size derives from the shared
+//     decoder's bounded count, codec.Decoder.Count (or an explicit bound
+//     guard), so a corrupt 5-byte length prefix or a CRC-valid WAL record
+//     cannot demand a multi-gigabyte allocation before validation.
 //   - exhaustive: switches over wire.Op, wire.Status, engine.Kind,
 //     wal.RecType, and obs.Stage either cover every declared constant or
 //     carry an explicit default arm, so growing an enum cannot make a

@@ -8,21 +8,16 @@ import (
 	"crackstore/internal/crack"
 )
 
-// ConcStats reports how a shared-safe wrapper's readers fare against
+// ConcStats reports how a lock-based wrapper's readers fare against
 // concurrent reorganization: how long (and how often) readers blocked
-// waiting for access, and — for snapshot engines — how many versions were
-// published and reclaimed. The zero value means "nothing observed".
+// waiting for access. Snapshot engines, whose readers never block, report
+// SnapshotStats instead. The zero value means "nothing observed".
 type ConcStats struct {
 	// ReaderWait is the cumulative time readers spent blocked acquiring
-	// read access (zero for lock-free snapshot readers).
+	// read access.
 	ReaderWait time.Duration
 	// ReaderWaits counts read acquisitions that had to block.
 	ReaderWaits int64
-	// Snapshots counts versions published by writers (snapshot engine).
-	Snapshots int64
-	// Reclaimed counts retired versions whose memory was freed after all
-	// reader epochs moved past them (snapshot engine).
-	Reclaimed int64
 }
 
 // ConcObservable is implemented by shared-safe wrappers that track

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -259,24 +260,9 @@ func (d *durable) applyReplay(e Engine, cpSeq uint64, rec wal.Record) error {
 	return nil
 }
 
-// tapeQuery converts a crack-tape record back into the query that cut it.
+// tapeQuery is the query that cut a crack-tape record.
 func tapeQuery(rec wal.Record) Query {
-	q := Query{Projs: rec.Projs, Disjunctive: rec.Disjunctive}
-	q.Preds = make([]AttrPred, len(rec.Preds))
-	for i, p := range rec.Preds {
-		q.Preds[i] = AttrPred{Attr: p.Attr, Pred: p.Pred}
-	}
-	return q
-}
-
-// crackRecord converts a reorganizing query into its tape record.
-func crackRecord(q Query) wal.Record {
-	rec := wal.Record{Type: wal.RecCrack, Projs: q.Projs, Disjunctive: q.Disjunctive}
-	rec.Preds = make([]wal.PredRec, len(q.Preds))
-	for i, ap := range q.Preds {
-		rec.Preds[i] = wal.PredRec{Attr: ap.Attr, Pred: ap.Pred}
-	}
-	return rec
+	return Query{Preds: rec.Preds, Projs: rec.Projs, Disjunctive: rec.Disjunctive}
 }
 
 // logInsert validates the tuple's width and appends its record. ok false
@@ -318,7 +304,9 @@ func (d *durable) logCrack(q Query) {
 	if d == nil {
 		return
 	}
-	rec := crackRecord(q)
+	// The tape outlives the call, so it keeps its own copy of the caller's
+	// predicates.
+	rec := wal.Record{Type: wal.RecCrack, Preds: slices.Clone(q.Preds), Projs: q.Projs, Disjunctive: q.Disjunctive}
 	if _, err := d.log.AppendBuffered(rec); err != nil {
 		d.writeErrs.Add(1)
 	}

@@ -32,7 +32,7 @@ import (
 type Value = store.Value
 
 // AttrPred pairs an attribute with a range predicate.
-type AttrPred = sideways.AttrPred
+type AttrPred = store.AttrPred
 
 // Kind identifies a physical design.
 type Kind int

@@ -152,13 +152,13 @@ func RegisterMetrics(r *obs.Registry, e Engine) {
 	}
 	if _, ok := ConcStatsOf(e); ok {
 		cs := func() ConcStats { c, _ := ConcStatsOf(e); return c }
-		r.GaugeFunc("crack_engine_reader_wait_seconds_total", "cumulative time readers blocked behind writers (zero for snapshot reads)", func() float64 { return cs().ReaderWait.Seconds() })
+		r.GaugeFunc("crack_engine_reader_wait_seconds_total", "cumulative time readers blocked behind writers", func() float64 { return cs().ReaderWait.Seconds() })
 		r.CounterFunc("crack_engine_reader_waits_total", "blocked read acquisitions", func() uint64 { return uint64(cs().ReaderWaits) })
-		r.CounterFunc("crack_snapshot_published_total", "immutable versions published by writers", func() uint64 { return uint64(cs().Snapshots) })
-		r.CounterFunc("crack_snapshot_reclaimed_total", "retired versions reclaimed after readers exited", func() uint64 { return uint64(cs().Reclaimed) })
 	}
 	if _, ok := SnapshotStatsOf(e); ok {
 		ss := func() SnapshotStats { s, _ := SnapshotStatsOf(e); return s }
+		r.CounterFunc("crack_snapshot_published_total", "immutable versions published by writers", func() uint64 { return ss().Published })
+		r.CounterFunc("crack_snapshot_reclaimed_total", "retired versions reclaimed after readers exited", func() uint64 { return ss().Reclaimed })
 		r.GaugeFunc("crack_snapshot_limbo", "retired versions held back by live readers", func() float64 { return float64(ss().Limbo) })
 		r.GaugeFunc("crack_snapshot_readers", "currently pinned snapshot readers", func() float64 { return float64(ss().Readers) })
 	}

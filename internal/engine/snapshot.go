@@ -362,14 +362,3 @@ func (e *snapEngine) SnapshotStats() SnapshotStats {
 	st.Readers = e.ep.Active()
 	return st
 }
-
-// ConcStats implements ConcObservable: snapshot readers never block, so
-// reader-wait is identically zero; the interesting signal is versions
-// published and reclaimed.
-func (e *snapEngine) ConcStats() ConcStats {
-	st := e.SnapshotStats()
-	return ConcStats{
-		Snapshots: int64(st.Published),
-		Reclaimed: int64(st.Reclaimed),
-	}
-}

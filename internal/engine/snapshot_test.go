@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"crackstore/internal/obs"
 	"crackstore/internal/store"
 )
 
@@ -182,8 +183,10 @@ func TestSnapshotFallback(t *testing.T) {
 }
 
 // TestSnapshotConcStats checks the observability contract: the snapshot
-// wrapper reports published/reclaimed versions and zero reader-wait, the
-// Concurrent wrapper reports reader-wait fields.
+// wrapper reports published versions through SnapshotStats and no
+// contention stats (its readers never block), the Concurrent wrapper
+// reports reader-wait fields, and RegisterMetrics exports the snapshot
+// families only for the engine that has snapshots.
 func TestSnapshotConcStats(t *testing.T) {
 	rel := buildBandedRel(5)
 	e := Snapshot(New(SelCrack, cloneRel(rel)))
@@ -193,18 +196,36 @@ func TestSnapshotConcStats(t *testing.T) {
 			Projs: []string{"B"},
 		})
 	}
-	cs, ok := ConcStatsOf(e)
+	ss, ok := SnapshotStatsOf(e)
 	if !ok {
-		t.Fatal("snapshot engine does not report ConcStats")
+		t.Fatal("snapshot engine does not report SnapshotStats")
 	}
-	if cs.Snapshots == 0 {
+	if ss.Published == 0 {
 		t.Fatal("no snapshots counted after cracking queries")
 	}
-	if cs.ReaderWait != 0 || cs.ReaderWaits != 0 {
-		t.Fatal("lock-free readers reported blocked time")
+	if _, ok := ConcStatsOf(e); ok {
+		t.Fatal("lock-free snapshot engine reports reader contention")
 	}
-	if _, ok := ConcStatsOf(Concurrent(New(Scan, cloneRel(rel)))); !ok {
+	conc := Concurrent(New(Scan, cloneRel(rel)))
+	if _, ok := ConcStatsOf(conc); !ok {
 		t.Fatal("Concurrent wrapper does not report ConcStats")
+	}
+
+	for _, c := range []struct {
+		e    Engine
+		want bool
+	}{{e, true}, {conc, false}} {
+		reg := obs.NewRegistry()
+		RegisterMetrics(reg, c.e)
+		have := map[string]bool{}
+		for _, f := range reg.Families() {
+			have[f] = true
+		}
+		for _, f := range []string{"crack_snapshot_published_total", "crack_snapshot_reclaimed_total"} {
+			if have[f] != c.want {
+				t.Errorf("%s: family %s registered = %v, want %v", c.e.Name(), f, have[f], c.want)
+			}
+		}
 	}
 }
 

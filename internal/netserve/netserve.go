@@ -22,7 +22,6 @@
 package netserve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -449,7 +448,7 @@ func (c *conn) readLoop() {
 			// (op + ID) survives, answer the error in-band and keep
 			// serving the connection; otherwise the peer is not speaking
 			// our protocol and the connection ends.
-			if op, id, ok := headerOf(payload); ok {
+			if op, id, ok := wire.RequestHeader(payload); ok {
 				c.send(&wire.Response{ID: id, Op: op, Status: wire.StatusErr, Err: err.Error()})
 				continue
 			}
@@ -617,19 +616,6 @@ func (c *conn) sendTraced(req *wire.Request, resp *wire.Response, arrival time.T
 		c.s.traceMu.Unlock()
 	}
 	c.out <- buf
-}
-
-// headerOf attempts to salvage the op and request ID from a payload whose
-// full decode failed, so the error can be delivered to the right waiter.
-func headerOf(payload []byte) (wire.Op, uint64, bool) {
-	if len(payload) < 1 {
-		return 0, 0, false
-	}
-	id, n := binary.Uvarint(payload[1:])
-	if n <= 0 {
-		return 0, 0, false
-	}
-	return wire.Op(payload[0]), id, true
 }
 
 // ---------------------------------------------------------------------------

@@ -241,6 +241,30 @@ func TestCorruptPayloadAnsweredInBand(t *testing.T) {
 	}
 }
 
+// TestTracedCorruptPayloadAnsweredUntraced: a traced query whose body is
+// truncated draws an in-band error that the client's decoder accepts —
+// the answer must not carry the trace flag, since an error response has
+// no span list to go with it — and the connection keeps serving.
+func TestTracedCorruptPayloadAnsweredUntraced(t *testing.T) {
+	s := startServer(t, engine.New(engine.Sideways, buildRel(4, 500, 100)), Options{})
+	r := rawDial(t, s)
+
+	req := wire.Request{ID: 42, Op: wire.OpQuery, Trace: 7, Query: engine.Query{
+		Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(1, 50)}},
+		Projs: []string{"B"},
+	}}
+	payload := wire.AppendRequest(nil, &req)[wire.FrameHeader:]
+	r.write(wire.AppendFrame(nil, payload[:len(payload)-3]))
+	if resp := r.read(); resp.ID != 42 || resp.Op != wire.OpQuery || resp.Status != wire.StatusErr || resp.Spans != nil {
+		t.Fatalf("truncated traced query answered %+v, want an untraced StatusErr for ID 42", resp)
+	}
+
+	r.write(wire.AppendRequest(nil, &wire.Request{ID: 43, Op: wire.OpPing}))
+	if resp := r.read(); resp.ID != 43 || resp.Status != wire.StatusOK {
+		t.Fatalf("ping after the corrupt request answered %+v", resp)
+	}
+}
+
 // TestOversizedFrameRejected: a frame above the server's cap draws an
 // ID-0 error, the connection closes, and the server keeps accepting.
 func TestOversizedFrameRejected(t *testing.T) {

@@ -36,9 +36,10 @@ import (
 // Value aliases the kernel value type.
 type Value = store.Value
 
-// AttrPred and Result are shared with the full-map implementation.
+// AttrPred is the store's predicate type; Result is shared with the
+// full-map implementation.
 type (
-	AttrPred = sideways.AttrPred
+	AttrPred = store.AttrPred
 	Result   = sideways.Result
 )
 

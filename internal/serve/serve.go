@@ -598,14 +598,11 @@ type Stats struct {
 
 	// Reader-wait observability, from the shared engine wrapper when it
 	// tracks contention (engine.ConcStatsOf). ReaderWait is cumulative
-	// time readers spent blocked acquiring read access (always zero for
-	// the lock-free Snapshot wrapper); ReaderWaits counts blocked
-	// acquisitions; Snapshots counts versions published by the Snapshot
-	// wrapper and Reclaimed the retired versions already freed.
+	// time readers spent blocked acquiring read access; ReaderWaits counts
+	// blocked acquisitions. The lock-free Snapshot wrapper's version
+	// counters are engine.SnapshotStatsOf's.
 	ReaderWait  time.Duration
 	ReaderWaits int64
-	Snapshots   int64
-	Reclaimed   int64
 }
 
 // Stats captures a consistent snapshot of the server's counters. With
@@ -635,8 +632,6 @@ func (s *Server) Stats() Stats {
 	if cs, ok := engine.ConcStatsOf(s.e); ok {
 		st.ReaderWait = cs.ReaderWait
 		st.ReaderWaits = cs.ReaderWaits
-		st.Snapshots = cs.Snapshots
-		st.Reclaimed = cs.Reclaimed
 	}
 	return st
 }

@@ -162,8 +162,6 @@ func (s *Engine) ConcStats() engine.ConcStats {
 		if cs, ok := engine.ConcStatsOf(sh); ok {
 			total.ReaderWait += cs.ReaderWait
 			total.ReaderWaits += cs.ReaderWaits
-			total.Snapshots += cs.Snapshots
-			total.Reclaimed += cs.Reclaimed
 		}
 	}
 	return total

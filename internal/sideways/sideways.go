@@ -486,10 +486,7 @@ func (s *Store) colStats(attr string) (lo, hi Value) {
 }
 
 // AttrPred is one selection of a multi-attribute query.
-type AttrPred struct {
-	Attr string
-	Pred store.Pred
-}
+type AttrPred = store.AttrPred
 
 // Result of a multi-attribute query: projected columns, positionally
 // aligned (row i across all Cols entries belongs to the same tuple).

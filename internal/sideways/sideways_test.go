@@ -187,7 +187,7 @@ func TestQuickSelectProject(t *testing.T) {
 			pred := store.Pred{Lo: lo, Hi: hi, LoIncl: rng.Intn(2) == 0, HiIncl: rng.Intn(2) == 0}
 			projs := projSets[rng.Intn(len(projSets))]
 			res := s.SelectProject("A", pred, projs)
-			want := nv.rows([]AttrPred{{"A", pred}}, projs, false)
+			want := nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, projs, false)
 			g, w := canon(resultRows(res, projs)), canon(want)
 			if len(g) != len(w) {
 				return false
@@ -225,7 +225,7 @@ func TestQuickMultiSelect(t *testing.T) {
 				seen[attr] = true
 				lo := rng.Int63n(60)
 				hi := lo + rng.Int63n(60-lo+1)
-				preds = append(preds, AttrPred{attr, store.Range(lo, hi)})
+				preds = append(preds, AttrPred{Attr: attr, Pred: store.Range(lo, hi)})
 			}
 			projs := []string{"D", "A"}
 			res := s.MultiSelect(preds, projs, disjunctive)
@@ -278,7 +278,7 @@ func TestQuickUpdates(t *testing.T) {
 				pred := store.Range(lo, hi)
 				projs := []string{"B", "C"}
 				res := s.SelectProject("A", pred, projs)
-				want := nv.rows([]AttrPred{{"A", pred}}, projs, false)
+				want := nv.rows([]AttrPred{{Attr: "A", Pred: pred}}, projs, false)
 				g, w := canon(resultRows(res, projs)), canon(want)
 				if len(g) != len(w) {
 					return false
@@ -322,7 +322,7 @@ func TestBudgetDropsLFUMaps(t *testing.T) {
 	// Dropped map must be recreated correctly on demand.
 	res := s.SelectProject("A", store.Range(0, 50), []string{"C"})
 	nv := &naive{rel: rel, dead: map[int]bool{}}
-	want := nv.rows([]AttrPred{{"A", store.Range(0, 50)}}, []string{"C"}, false)
+	want := nv.rows([]AttrPred{{Attr: "A", Pred: store.Range(0, 50)}}, []string{"C"}, false)
 	equalRows(t, resultRows(res, []string{"C"}), want, "recreated map")
 }
 
@@ -355,8 +355,8 @@ func TestMultiSelectChoosesMostSelectiveSet(t *testing.T) {
 	s := NewStore(rel)
 	// A-predicate very selective, B-predicate not.
 	preds := []AttrPred{
-		{"A", store.Range(0, 10)},
-		{"B", store.Range(0, 900)},
+		{Attr: "A", Pred: store.Range(0, 10)},
+		{Attr: "B", Pred: store.Range(0, 900)},
 	}
 	s.MultiSelect(preds, []string{"C"}, false)
 	if s.SetIfExists("A") == nil {
@@ -372,8 +372,8 @@ func TestDisjunctiveChoosesLeastSelectiveSet(t *testing.T) {
 	rel := buildRel(rng, 1000, []string{"A", "B", "C"}, 1000)
 	s := NewStore(rel)
 	preds := []AttrPred{
-		{"A", store.Range(0, 10)},
-		{"B", store.Range(0, 900)},
+		{Attr: "A", Pred: store.Range(0, 10)},
+		{Attr: "B", Pred: store.Range(0, 900)},
 	}
 	s.MultiSelect(preds, []string{"C"}, true)
 	if s.SetIfExists("B") == nil {

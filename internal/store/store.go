@@ -28,6 +28,14 @@ type Pred struct {
 	LoIncl, HiIncl bool
 }
 
+// AttrPred is one selection of a multi-attribute query: a range predicate
+// on the named attribute. The engines take it in queries and the WAL's
+// crack tape records it as is.
+type AttrPred struct {
+	Attr string
+	Pred Pred
+}
+
 // Range returns the predicate lo <= v < hi, the common half-open form.
 func Range(lo, hi Value) Pred { return Pred{Lo: lo, Hi: hi, LoIncl: true, HiIncl: false} }
 

@@ -1,6 +1,7 @@
 // Fixture for the wirebounds and exhaustive checkers: a miniature wire
-// package with a consumeLen-style bounded count decoder, decode-side
-// preallocations, and switches over the Op/Status enums.
+// package with a codec-style Decoder whose Count is the bounded count
+// decoder, decode-side preallocations, and switches over the Op/Status
+// enums.
 package wire
 
 type Op byte
@@ -18,26 +19,50 @@ const (
 	StatusErr Status = 1
 )
 
-// consumeLen decodes a count and refuses any value exceeding what the
-// remaining input could possibly hold (minSize bytes per element).
-func consumeLen(b []byte, minSize int) (int, []byte, bool) {
-	if len(b) == 0 {
-		return 0, b, false
+// Decoder mirrors codec.Decoder: Count refuses any count exceeding what
+// the remaining input could possibly hold (minSize bytes per element).
+type Decoder struct{ b []byte }
+
+func (d *Decoder) Uvarint() int {
+	if len(d.b) == 0 {
+		return 0
 	}
-	n := int(b[0])
-	if n > len(b[1:])/minSize {
-		return 0, b, false
-	}
-	return n, b[1:], true
+	n := int(d.b[0])
+	d.b = d.b[1:]
+	return n
 }
 
-func okBounded(b []byte) []int64 {
-	n, rest, ok := consumeLen(b, 8)
-	if !ok {
-		return nil
+func (d *Decoder) Count(minSize int) int {
+	n := d.Uvarint()
+	if n > len(d.b)/minSize {
+		d.b = nil
+		return 0
 	}
-	_ = rest
+	return n
+}
+
+// counter has a Count method too, but it is not a Decoder's.
+type counter struct{}
+
+func (counter) Count(int) int { return 1 << 40 }
+
+func okBounded(b []byte) []int64 {
+	d := &Decoder{b: b}
+	n := d.Count(8)
 	return make([]int64, n)
+}
+
+// okDirectCount passes the shared bounded count straight to make.
+func okDirectCount(d *Decoder) []string {
+	return make([]string, d.Count(1))
+}
+
+func badUncounted(d *Decoder) []int64 {
+	return make([]int64, d.Uvarint()) // want "preallocation size"
+}
+
+func badForeignCount(c counter) []int64 {
+	return make([]int64, c.Count(8)) // want "preallocation size"
 }
 
 // okGuarded mirrors the frame-header path: the length is validated against

@@ -4,36 +4,39 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// WireBounds guards the wire package's prealloc-DoS contract: every
+// WireBounds guards the binary formats' prealloc-DoS contract: in the
+// shared codec and the two formats built on it (wire, wal), every
 // decode-side make([]T, n) / make(map[...], n) must take its size from a
 // count that cannot exceed the bytes actually remaining — which is exactly
-// what consumeLen produces. A size that reaches make straight from a
-// decoded integer lets a 5-byte adversarial frame demand a multi-gigabyte
-// allocation; the fuzz targets probe this property, this checker proves it
-// per call site. A size is accepted when it derives from:
+// what codec's Decoder.Count produces. A size that reaches make straight
+// from a decoded integer lets a 5-byte adversarial frame (or a CRC-valid
+// WAL record) demand a multi-gigabyte allocation; the fuzz targets probe
+// this property, this checker proves it per call site. A size is accepted
+// when it derives from:
 //
-//   - a consumeLen result (the canonical bounded count),
-//   - a constant, len(), or cap(),
+//   - a Count call on a Decoder (the shared bounded count),
+//   - a constant, len(), cap(), or min(),
 //   - a variable that an earlier `if v > limit { return ... }` guard
 //     bounds explicitly (the frame-header path, where the length is
 //     validated before any payload exists to measure against),
 //
-// or arithmetic over those. Only non-test files of wire packages are
-// checked: tests build their own inputs, and encoders allocate from data
-// the process already holds either way — but the checker cannot tell an
-// encoder from a decoder, so it holds both to the same rule (encode-side
-// sizes all come from len() anyway).
+// or arithmetic over those. Only non-test files of the codec, wire and
+// wal packages are checked: tests build their own inputs, and encoders
+// allocate from data the process already holds either way — but the
+// checker cannot tell an encoder from a decoder, so it holds both to the
+// same rule (encode-side sizes all come from len() anyway).
 var WireBounds = &Checker{
 	Name: "wirebounds",
-	Doc:  "wire decode preallocations must be bounded via consumeLen",
+	Doc:  "codec, wire and wal decode preallocations must be bounded via Decoder.Count",
 	Run:  runWireBounds,
 }
 
 func runWireBounds(pass *Pass) {
-	if pass.Name != "wire" && !strings.Contains(pass.PkgPath, "internal/wire") {
+	switch pass.Name {
+	case "codec", "wire", "wal":
+	default:
 		return
 	}
 	for _, f := range pass.Files {
@@ -77,16 +80,23 @@ func wireBoundsBody(pass *Pass, body *ast.BlockStmt) {
 		return e
 	}
 
-	// isConsumeLen matches a call to a function named consumeLen (the
-	// bounded-count decoder; matched by name so fixtures work).
-	isConsumeLen := func(call *ast.CallExpr) bool {
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			return fun.Name == "consumeLen"
-		case *ast.SelectorExpr:
-			return fun.Sel.Name == "consumeLen"
+	// isCount matches a Count call on a value of a type named Decoder (the
+	// shared bounded-count decoder; matched by name so fixtures work).
+	isCount := func(call *ast.CallExpr) bool {
+		fun, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || fun.Sel.Name != "Count" {
+			return false
 		}
-		return false
+		sel := pass.Info.Selections[fun]
+		if sel == nil {
+			return false
+		}
+		recv := sel.Recv()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		named, ok := recv.(*types.Named)
+		return ok && named.Obj().Name() == "Decoder"
 	}
 
 	// terminates reports whether a statement list unconditionally leaves
@@ -125,6 +135,9 @@ func wireBoundsBody(pass *Pass, body *ast.BlockStmt) {
 		case *ast.UnaryExpr:
 			return isBlessed(x.X)
 		case *ast.CallExpr:
+			if isCount(x) {
+				return true
+			}
 			if id, ok := x.Fun.(*ast.Ident); ok {
 				if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin && (id.Name == "len" || id.Name == "cap" || id.Name == "min") {
 					return true
@@ -137,8 +150,8 @@ func wireBoundsBody(pass *Pass, body *ast.BlockStmt) {
 		return false
 	}
 
-	// Bless fixpoint: consumeLen results, comparison guards with
-	// terminating bodies, and propagation through bounded assignments.
+	// Bless fixpoint: comparison guards with terminating bodies, and
+	// propagation through bounded assignments (Count results included).
 	for changed := true; changed; {
 		changed = false
 		bless := func(id *ast.Ident) {
@@ -150,14 +163,6 @@ func wireBoundsBody(pass *Pass, body *ast.BlockStmt) {
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.AssignStmt:
-				if len(s.Rhs) == 1 {
-					if call, ok := s.Rhs[0].(*ast.CallExpr); ok && isConsumeLen(call) && len(s.Lhs) >= 1 {
-						if id, ok := s.Lhs[0].(*ast.Ident); ok {
-							bless(id)
-						}
-						return true
-					}
-				}
 				if len(s.Lhs) == len(s.Rhs) {
 					for i, rhs := range s.Rhs {
 						if id, ok := s.Lhs[i].(*ast.Ident); ok && isBlessed(rhs) {
@@ -199,7 +204,7 @@ func wireBoundsBody(pass *Pass, body *ast.BlockStmt) {
 		}
 		for _, sz := range call.Args[1:] {
 			if !isBlessed(sz) {
-				pass.Reportf(call.Pos(), "preallocation size does not derive from consumeLen (or an explicit bound guard): a corrupt length can demand an arbitrary allocation")
+				pass.Reportf(call.Pos(), "preallocation size does not derive from Decoder.Count (or an explicit bound guard): a corrupt length can demand an arbitrary allocation")
 				break
 			}
 		}

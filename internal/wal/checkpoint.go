@@ -3,10 +3,12 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"crackstore/internal/codec"
 )
 
 // File names inside a durable data directory.
@@ -67,14 +69,8 @@ func RemoveSegmentsExcept(dir string, keep uint64) {
 // new one, never a torn hybrid (the single-frame CRC would expose one
 // anyway).
 func WriteCheckpoint(dir string, cp *Checkpoint) error {
-	payload := appendCheckpointPayload(nil, cp)
-	framed := make([]byte, 0, frameHeader+len(payload))
-	framed = append(framed, make([]byte, frameHeader)...)
-	framed = append(framed, payload...)
-	n := uint32(len(payload))
-	binary.BigEndian.PutUint32(framed, n)
-	binary.BigEndian.PutUint32(framed[4:], n^lenEcho)
-	binary.BigEndian.PutUint32(framed[8:], crc32.ChecksumIEEE(payload))
+	framed, start := codec.Begin(nil)
+	framed = frame.End(appendCheckpointPayload(framed, cp), start)
 
 	tmp := filepath.Join(dir, checkpointFile+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -114,19 +110,12 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(b) < frameHeader {
-		return nil, fmt.Errorf("wal: checkpoint too short: %d bytes", len(b))
+	payload, err := frame.Cut(b, math.MaxInt)
+	if err == nil && len(payload) != len(b)-codec.FrameHeader {
+		err = fmt.Errorf("length %d does not match file body %d", len(payload), len(b)-codec.FrameHeader)
 	}
-	n := binary.BigEndian.Uint32(b)
-	if n^lenEcho != binary.BigEndian.Uint32(b[4:]) {
-		return nil, fmt.Errorf("wal: checkpoint header echo mismatch")
-	}
-	if int64(n) != int64(len(b)-frameHeader) {
-		return nil, fmt.Errorf("wal: checkpoint length %d does not match file body %d", n, len(b)-frameHeader)
-	}
-	payload := b[frameHeader:]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[8:]) {
-		return nil, fmt.Errorf("wal: checkpoint checksum mismatch")
+	if err != nil {
+		return nil, fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	return decodeCheckpointPayload(payload)
 }
@@ -134,10 +123,10 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 func appendCheckpointPayload(dst []byte, cp *Checkpoint) []byte {
 	dst = append(dst, checkpointVersion)
 	dst = binary.AppendUvarint(dst, cp.Seq)
-	dst = appendString(dst, cp.Name)
+	dst = codec.AppendString(dst, cp.Name)
 	dst = binary.AppendUvarint(dst, uint64(len(cp.Attrs)))
 	for _, a := range cp.Attrs {
-		dst = appendString(dst, a)
+		dst = codec.AppendString(dst, a)
 	}
 	rows := 0
 	if len(cp.Cols) > 0 {
@@ -148,14 +137,9 @@ func appendCheckpointPayload(dst []byte, cp *Checkpoint) []byte {
 		if len(col) != rows {
 			panic("wal: checkpoint with ragged columns")
 		}
-		for _, v := range col {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
+		dst = codec.AppendWords(dst, col)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(cp.Dead)))
-	for _, k := range cp.Dead {
-		dst = binary.AppendUvarint(dst, uint64(k))
-	}
+	dst = appendKeys(dst, cp.Dead)
 	dst = binary.AppendUvarint(dst, uint64(len(cp.Tape)))
 	for _, rec := range cp.Tape {
 		p := AppendPayload(nil, rec)
@@ -166,54 +150,32 @@ func appendCheckpointPayload(dst []byte, cp *Checkpoint) []byte {
 }
 
 func decodeCheckpointPayload(payload []byte) (*Checkpoint, error) {
-	r := reader{b: payload}
-	if v := r.u8(); v != checkpointVersion {
+	d := codec.NewDecoder(payload, ErrCorrupt)
+	if v := d.Byte(); v != checkpointVersion {
 		return nil, fmt.Errorf("wal: checkpoint version %d (want %d)", v, checkpointVersion)
 	}
-	cp := &Checkpoint{Seq: r.uvarint(), Name: r.str()}
-	nattrs := int(r.uvarint())
-	if r.err || nattrs < 0 || nattrs > r.remaining() {
-		return nil, ErrCorrupt
+	cp := &Checkpoint{Seq: d.Uvarint(), Name: d.Str()}
+	cp.Attrs = make([]string, d.Count(1))
+	for i := range cp.Attrs {
+		cp.Attrs[i] = d.Str()
 	}
-	cp.Attrs = make([]string, 0, nattrs)
-	for i := 0; i < nattrs; i++ {
-		cp.Attrs = append(cp.Attrs, r.str())
-	}
-	rows := int(r.uvarint())
-	if r.err || rows < 0 || nattrs > 0 && rows > r.remaining()/(8*nattrs) {
-		return nil, ErrCorrupt
-	}
-	cp.Cols = make([][]Value, nattrs)
+	// Every row costs 8 bytes in each column.
+	rows := d.Count(8 * max(len(cp.Attrs), 1))
+	cp.Cols = make([][]Value, len(cp.Attrs))
 	for i := range cp.Cols {
-		cp.Cols[i] = r.vals(rows)
+		cp.Cols[i] = d.Words(rows)
 	}
-	ndead := int(r.uvarint())
-	if r.err || ndead < 0 || ndead > r.remaining() {
-		return nil, ErrCorrupt
-	}
-	cp.Dead = make([]int, 0, ndead)
-	for i := 0; i < ndead; i++ {
-		cp.Dead = append(cp.Dead, int(r.uvarint()))
-	}
-	ntape := int(r.uvarint())
-	if r.err || ntape < 0 || ntape > r.remaining() {
-		return nil, ErrCorrupt
-	}
-	cp.Tape = make([]Record, 0, ntape)
-	for i := 0; i < ntape; i++ {
-		n := int(r.uvarint())
-		if r.err || n < 0 || n > r.remaining() {
-			return nil, ErrCorrupt
-		}
-		rec, err := DecodeRecord(r.b[r.off : r.off+n])
+	cp.Dead = decodeKeys(&d)
+	cp.Tape = make([]Record, d.Count(1))
+	for i := range cp.Tape {
+		rec, err := DecodeRecord(d.Bytes(d.Count(1)))
 		if err != nil {
 			return nil, err
 		}
-		r.off += n
-		cp.Tape = append(cp.Tape, rec)
+		cp.Tape[i] = rec
 	}
-	if r.err || r.remaining() != 0 {
-		return nil, ErrCorrupt
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return cp, nil
 }

@@ -172,7 +172,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Cols:  [][]Value{{1, 2, 3}, {10, 20, 30}},
 		Dead:  []int{1},
 		Tape: []Record{
-			{Type: RecCrack, Preds: []PredRec{{Attr: "A", Pred: store.Range(0, 2)}}, Projs: []string{"B"}},
+			{Type: RecCrack, Preds: []store.AttrPred{{Attr: "A", Pred: store.Range(0, 2)}}, Projs: []string{"B"}},
 		},
 	}
 	if err := WriteCheckpoint(dir, cp); err != nil {

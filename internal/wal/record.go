@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
+	"crackstore/internal/codec"
 	"crackstore/internal/store"
 )
 
@@ -52,12 +52,6 @@ func (t RecType) String() string {
 	return fmt.Sprintf("rectype(%d)", byte(t))
 }
 
-// PredRec is one attribute predicate of a crack-tape record.
-type PredRec struct {
-	Attr string
-	Pred store.Pred
-}
-
 // Record is one decoded WAL record. Only the fields of its Type are
 // meaningful.
 type Record struct {
@@ -71,7 +65,7 @@ type Record struct {
 	Keys []int
 
 	// RecCrack: the reorganizing query's shape.
-	Preds       []PredRec
+	Preds       []store.AttrPred
 	Projs       []string
 	Disjunctive bool
 
@@ -79,15 +73,15 @@ type Record struct {
 	Seq uint64
 }
 
-// Framing constants. The header reuses the internal/wire idiom: the
-// payload length travels twice — once plain, once XOR-masked — so a reader
-// validates the length before trusting it, and a CRC-32 of the payload
-// turns silent byte corruption into a detectable torn tail instead of a
-// wrong replay. An all-zero header (common torn-write shape) never
-// validates because of the mask.
+// Every record, and the checkpoint file, is one internal/codec frame — the
+// frame the wire protocol uses too, under a different length-echo mask,
+// so a frame of one format never validates as the other's. The masked
+// length echo lets a reader validate the length before trusting it, the
+// payload CRC turns silent byte corruption into a detectable torn tail
+// instead of a wrong replay, and the mask keeps an all-zero header (the
+// common torn-write shape) from ever validating.
 const (
-	frameHeader = 12
-	lenEcho     = 0x5AC3A55A
+	frame codec.Frame = 0x5AC3A55A
 
 	// MaxRecord caps a single record frame. A length prefix above it is
 	// treated as a torn tail, so a corrupt header cannot make recovery
@@ -109,19 +103,13 @@ func AppendPayload(dst []byte, rec Record) []byte {
 	switch rec.Type {
 	case RecInsert:
 		dst = binary.AppendUvarint(dst, uint64(rec.Width))
-		dst = binary.AppendUvarint(dst, uint64(len(rec.Vals)))
-		for _, v := range rec.Vals {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
+		dst = codec.AppendValues(dst, rec.Vals)
 	case RecDelete:
-		dst = binary.AppendUvarint(dst, uint64(len(rec.Keys)))
-		for _, k := range rec.Keys {
-			dst = binary.AppendUvarint(dst, uint64(k))
-		}
+		dst = appendKeys(dst, rec.Keys)
 	case RecCrack:
 		dst = binary.AppendUvarint(dst, uint64(len(rec.Preds)))
 		for _, p := range rec.Preds {
-			dst = appendString(dst, p.Attr)
+			dst = codec.AppendString(dst, p.Attr)
 			dst = binary.AppendVarint(dst, p.Pred.Lo)
 			dst = binary.AppendVarint(dst, p.Pred.Hi)
 			var flags byte
@@ -135,13 +123,9 @@ func AppendPayload(dst []byte, rec Record) []byte {
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(rec.Projs)))
 		for _, s := range rec.Projs {
-			dst = appendString(dst, s)
+			dst = codec.AppendString(dst, s)
 		}
-		if rec.Disjunctive {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = codec.AppendBool(dst, rec.Disjunctive)
 	case RecCheckpoint:
 		dst = binary.AppendUvarint(dst, rec.Seq)
 	default:
@@ -152,15 +136,8 @@ func AppendPayload(dst []byte, rec Record) []byte {
 
 // AppendRecord appends the framed encoding of rec to dst.
 func AppendRecord(dst []byte, rec Record) []byte {
-	start := len(dst)
-	dst = append(dst, make([]byte, frameHeader)...)
-	dst = AppendPayload(dst, rec)
-	payload := dst[start+frameHeader:]
-	n := uint32(len(payload))
-	binary.BigEndian.PutUint32(dst[start:], n)
-	binary.BigEndian.PutUint32(dst[start+4:], n^lenEcho)
-	binary.BigEndian.PutUint32(dst[start+8:], crc32.ChecksumIEEE(payload))
-	return dst
+	dst, start := codec.Begin(dst)
+	return frame.End(AppendPayload(dst, rec), start)
 }
 
 // DecodeRecord decodes a frameless record payload. Decoding is strict:
@@ -169,70 +146,63 @@ func AppendRecord(dst []byte, rec Record) []byte {
 // adversarial payload can neither panic the decoder nor force a large
 // allocation (FuzzRecordCodec pins both properties).
 func DecodeRecord(payload []byte) (Record, error) {
-	r := reader{b: payload}
-	rec := Record{Type: RecType(r.u8())}
+	d := codec.NewDecoder(payload, ErrCorrupt)
+	rec := Record{Type: RecType(d.Byte())}
 	switch rec.Type {
 	case RecInsert:
-		rec.Width = int(r.uvarint())
-		n := int(r.uvarint())
-		if rec.Width <= 0 || n < 0 || n%max(rec.Width, 1) != 0 {
-			return Record{}, ErrCorrupt
+		rec.Width = d.Int()
+		rec.Vals = d.Values()
+		if rec.Width <= 0 || len(rec.Vals)%rec.Width != 0 {
+			d.Fail(ErrCorrupt)
 		}
-		rec.Vals = r.vals(n)
 	case RecDelete:
-		n := int(r.uvarint())
-		// Each key costs at least one byte, so the remaining bytes bound
-		// the preallocation.
-		if n < 0 || n > r.remaining() {
-			return Record{}, ErrCorrupt
-		}
-		rec.Keys = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			rec.Keys = append(rec.Keys, int(r.uvarint()))
-		}
+		rec.Keys = decodeKeys(&d)
 	case RecCrack:
-		n := int(r.uvarint())
-		if n < 0 || n > r.remaining() {
-			return Record{}, ErrCorrupt
-		}
-		rec.Preds = make([]PredRec, 0, n)
-		for i := 0; i < n; i++ {
-			var p PredRec
-			p.Attr = r.str()
-			p.Pred.Lo = r.varint()
-			p.Pred.Hi = r.varint()
-			flags := r.u8()
-			p.Pred.LoIncl = flags&1 != 0
-			p.Pred.HiIncl = flags&2 != 0
-			if flags&^byte(3) != 0 {
-				return Record{}, ErrCorrupt
+		rec.Preds = make([]store.AttrPred, d.Count(4)) // attr len, lo, hi, flags
+		for i := range rec.Preds {
+			p := &rec.Preds[i]
+			p.Attr = d.Str()
+			p.Pred.Lo, p.Pred.Hi = d.Varint(), d.Varint()
+			flags := d.Byte()
+			p.Pred.LoIncl, p.Pred.HiIncl = flags&1 != 0, flags&2 != 0
+			if flags&^3 != 0 {
+				d.Fail(ErrCorrupt)
 			}
-			rec.Preds = append(rec.Preds, p)
 		}
-		m := int(r.uvarint())
-		if m < 0 || m > r.remaining() {
-			return Record{}, ErrCorrupt
+		rec.Projs = make([]string, d.Count(1))
+		for i := range rec.Projs {
+			rec.Projs[i] = d.Str()
 		}
-		rec.Projs = make([]string, 0, m)
-		for i := 0; i < m; i++ {
-			rec.Projs = append(rec.Projs, r.str())
-		}
-		switch r.u8() {
-		case 0:
-		case 1:
-			rec.Disjunctive = true
-		default:
-			return Record{}, ErrCorrupt
-		}
+		rec.Disjunctive = d.Bool()
 	case RecCheckpoint:
-		rec.Seq = r.uvarint()
+		rec.Seq = d.Uvarint()
 	default:
-		return Record{}, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, byte(rec.Type))
+		d.Fail(fmt.Errorf("%w: unknown record type %d", ErrCorrupt, byte(rec.Type)))
 	}
-	if r.err || r.remaining() != 0 {
-		return Record{}, ErrCorrupt
+	if err := d.Done(); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
+}
+
+// appendKeys encodes tuple keys (delete records, checkpoint tombstones) as
+// a count and one uvarint per key.
+func appendKeys(dst []byte, keys []int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	for _, k := range keys {
+		dst = binary.AppendUvarint(dst, uint64(k))
+	}
+	return dst
+}
+
+// decodeKeys is appendKeys' inverse; a key that does not fit a
+// non-negative int is corrupt.
+func decodeKeys(d *codec.Decoder) []int {
+	keys := make([]int, d.Count(1))
+	for i := range keys {
+		keys[i] = d.Int()
+	}
+	return keys
 }
 
 // Scan iterates the complete records of b, calling fn for each with the
@@ -245,19 +215,8 @@ func DecodeRecord(payload []byte) (Record, error) {
 func Scan(b []byte, fn func(off int64, rec Record) error) (int64, error) {
 	off := 0
 	for {
-		if len(b)-off < frameHeader {
-			return int64(off), nil
-		}
-		n := binary.BigEndian.Uint32(b[off:])
-		echo := binary.BigEndian.Uint32(b[off+4:])
-		if n^lenEcho != echo {
-			return int64(off), nil
-		}
-		if n > MaxRecord || off+frameHeader+int(n) > len(b) {
-			return int64(off), nil
-		}
-		payload := b[off+frameHeader : off+frameHeader+int(n)]
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[off+8:]) {
+		payload, err := frame.Cut(b[off:], MaxRecord)
+		if err != nil {
 			return int64(off), nil
 		}
 		rec, err := DecodeRecord(payload)
@@ -267,88 +226,6 @@ func Scan(b []byte, fn func(off int64, rec Record) error) (int64, error) {
 		if err := fn(int64(off), rec); err != nil {
 			return int64(off), err
 		}
-		off += frameHeader + int(n)
+		off += codec.FrameHeader + len(payload)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Encoding helpers.
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// reader is a strict bounds-checked decode cursor; any overrun latches err
-// and makes every later read return zero values.
-type reader struct {
-	b   []byte
-	off int
-	err bool
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) fail() { r.err = true }
-
-func (r *reader) u8() byte {
-	if r.err || r.off >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.err {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) str() string {
-	n := int(r.uvarint())
-	if r.err || n < 0 || n > r.remaining() {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// vals decodes n fixed 8-byte little-endian values; the byte cost is
-// checked before the slice is allocated.
-func (r *reader) vals(n int) []Value {
-	if r.err || n < 0 || n*8 > r.remaining() {
-		r.fail()
-		return nil
-	}
-	out := make([]Value, n)
-	for i := range out {
-		out[i] = Value(binary.LittleEndian.Uint64(r.b[r.off:]))
-		r.off += 8
-	}
-	return out
 }

@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
+	"crackstore/internal/codec"
 	"crackstore/internal/store"
 )
 
@@ -13,11 +16,11 @@ func sampleRecords() []Record {
 		{Type: RecInsert, Width: 3, Vals: []Value{1, 2, 3, 40, 50, 60}},
 		{Type: RecInsert, Width: 1, Vals: []Value{-9}},
 		{Type: RecDelete, Keys: []int{0, 7, 123456}},
-		{Type: RecCrack, Preds: []PredRec{
+		{Type: RecCrack, Preds: []store.AttrPred{
 			{Attr: "A", Pred: store.Pred{Lo: -5, Hi: 100, LoIncl: true}},
 			{Attr: "B", Pred: store.Pred{Lo: 3, Hi: 3, LoIncl: true, HiIncl: true}},
 		}, Projs: []string{"A", "C"}, Disjunctive: true},
-		{Type: RecCrack, Preds: []PredRec{{Attr: "A", Pred: store.Range(10, 20)}}},
+		{Type: RecCrack, Preds: []store.AttrPred{{Attr: "A", Pred: store.Range(10, 20)}}},
 		{Type: RecCheckpoint, Seq: 42},
 	}
 }
@@ -97,7 +100,7 @@ func TestScanRejectsCorruptPayload(t *testing.T) {
 	// Scan must stop there (torn tail, not an error).
 	buf := AppendRecord(nil, Record{Type: RecDelete, Keys: []int{1, 2}})
 	buf = AppendRecord(buf, Record{Type: RecCheckpoint, Seq: 9})
-	buf[frameHeader] ^= 0xFF
+	buf[codec.FrameHeader] ^= 0xFF
 	n := 0
 	valid, err := Scan(buf, func(_ int64, _ Record) error { n++; return nil })
 	if err != nil || valid != 0 || n != 0 {
@@ -124,6 +127,30 @@ func TestDecodeRejectsOversizeCounts(t *testing.T) {
 	}
 }
 
+// overflowPayloads are CRC-valid-looking payloads whose counts or keys
+// overflow: an insert announcing 2^61 values (whose byte size, 2^64,
+// wraps a multiplied bound to zero) and a delete key of 2^63 (which does
+// not fit a non-negative int).
+func overflowPayloads() map[string][]byte {
+	return map[string][]byte{
+		"insert of 2^61 values": binary.AppendUvarint(binary.AppendUvarint([]byte{byte(RecInsert)}, 1), 1<<61),
+		"delete key 2^63":       binary.AppendUvarint(binary.AppendUvarint([]byte{byte(RecDelete)}, 1), 1<<63),
+	}
+}
+
+func TestDecodeRejectsOverflow(t *testing.T) {
+	for name, payload := range overflowPayloads() {
+		if rec, err := DecodeRecord(payload); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %+v, %v; want ErrCorrupt", name, rec, err)
+		}
+		// Framed, the record passes its CRC, so recovery must refuse it
+		// as a hard error rather than treat it as a torn tail.
+		if _, err := Scan(frame.Append(nil, payload), func(int64, Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Scan returned %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // FuzzRecordCodec pins the codec's safety contract on arbitrary bytes:
 // DecodeRecord never panics, and when it accepts a payload, re-encoding
 // the decoded record is a fixed point (decode∘encode is the identity on
@@ -133,6 +160,9 @@ func TestDecodeRejectsOversizeCounts(t *testing.T) {
 func FuzzRecordCodec(f *testing.F) {
 	for _, rec := range sampleRecords() {
 		f.Add(AppendPayload(nil, rec))
+	}
+	for _, payload := range overflowPayloads() {
+		f.Add(payload)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(RecInsert)})
@@ -178,7 +208,7 @@ func FuzzScanTornTail(f *testing.F) {
 			case 1:
 				rec = Record{Type: RecDelete, Keys: []int{i, i * 7}}
 			default:
-				rec = Record{Type: RecCrack, Preds: []PredRec{{Attr: "A", Pred: store.Range(v, v+Value(i))}}}
+				rec = Record{Type: RecCrack, Preds: []store.AttrPred{{Attr: "A", Pred: store.Range(v, v+Value(i))}}}
 			}
 			buf = AppendRecord(buf, rec)
 			bounds = append(bounds, len(buf))

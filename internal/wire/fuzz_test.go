@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"crackstore/internal/engine"
@@ -35,7 +37,12 @@ func FuzzDecodeRequest(f *testing.F) {
 	// with no following byte, which the decoder must reject, never over-read.
 	tok := AppendRequest(nil, &Request{ID: 9, Op: OpInsert, Token: 1 << 42, Vals: []store.Value{1}})[FrameHeader:]
 	f.Add(tok[:len(tok)-10])
-	f.Add(append(appendUvarint(appendUvarint([]byte{byte(OpDelete)}, 9), 0), 0x80))
+	f.Add(append(binary.AppendUvarint(binary.AppendUvarint([]byte{byte(OpDelete)}, 9), 0), 0x80))
+	// An insert announcing 2^61 values (a multiplied byte bound wraps to
+	// zero) and a delete whose key is the varint of -2^63 (a key >= 2^63
+	// read as int64): both must be rejected, never allocated or accepted.
+	f.Add(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint([]byte{byte(OpInsert)}, 10), 0), 0), 1<<61))
+	f.Add(binary.AppendVarint(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint([]byte{byte(OpDelete)}, 11), 0), 0), math.MinInt64))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, payload []byte) {

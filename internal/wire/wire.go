@@ -5,28 +5,21 @@
 //
 // # Framing
 //
-// Every message travels as one frame:
-//
-//	+----------------+------------------+----------------+---------------------+
-//	| length uint32  | length^lenEcho   | crc32 uint32   | payload             |
-//	| big-endian     | big-endian       | IEEE, payload  | (length bytes)      |
-//	+----------------+------------------+----------------+---------------------+
-//
-// The length counts payload bytes only, and travels twice — once plain,
-// once XOR-masked — so the reader validates it before trusting it: a
-// corrupted length byte is the one fault a payload CRC cannot catch,
-// because the reader would block waiting for a frame that was never sent
-// instead of reaching the checksum. Readers also enforce a maximum frame
-// size (MaxFrame / DefaultMaxFrame): a peer announcing a larger frame is a
-// protocol error, detected before any allocation, so a corrupt or
-// adversarial length prefix cannot make the receiver allocate gigabytes.
-// The checksum turns silent byte corruption — a flaky link, a broken
-// middlebox — into a detectable connection error (ErrChecksum) instead of
-// a wrong answer: a value column is raw 8-byte words, so without the CRC a
-// flipped bit would decode cleanly into a different value. Corruption is
-// not recoverable in-stream (the frame boundary itself is untrusted);
-// the reader reports it and the connection ends, which the client treats
-// like any other connection failure and retries idempotently elsewhere.
+// Every message travels as one internal/codec frame — the frame the WAL
+// uses too: a big-endian payload length, the same length XOR-masked (by
+// this protocol's mask, a different one in the WAL), and a CRC-32 of the
+// payload. A header whose echo disagrees with its length is ErrChecksum
+// before any payload byte is read, so a corrupted length never decides
+// how many bytes the reader waits for. A length above the reader's cap
+// (MaxFrame / DefaultMaxFrame) is ErrFrameTooLarge before any allocation,
+// so a corrupt or adversarial prefix cannot make the receiver allocate
+// gigabytes. A payload that fails its CRC is ErrChecksum: a value column
+// is raw 8-byte words, so without the CRC a flipped bit — a flaky link, a
+// broken middlebox — would decode cleanly into a different value.
+// Corruption is not recoverable in-stream (the frame boundary itself is
+// untrusted); the reader reports it and the connection ends, which the
+// client treats like any other connection failure and retries
+// idempotently elsewhere.
 //
 // # Payloads
 //
@@ -55,11 +48,12 @@
 // and the client should back off and retry, with no work done and the
 // connection intact.
 //
-// Decoding is strict: every read is bounds-checked, trailing garbage is an
-// error, and slice preallocations are capped by the bytes actually
-// remaining, so a truncated or adversarial frame can neither panic the
-// decoder nor make it over-allocate (FuzzDecodeRequest and
-// FuzzDecodeResponse pin both properties).
+// Decoding is strict and runs on the same codec.Decoder as the WAL:
+// every read is bounds-checked, trailing garbage is an error, and slice
+// preallocations are capped by the bytes actually remaining, so a
+// truncated or adversarial frame can neither panic the decoder nor make
+// it over-allocate (FuzzDecodeRequest and FuzzDecodeResponse pin both
+// properties).
 //
 // # Tracing extension
 //
@@ -80,12 +74,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"sort"
 	"time"
 
+	"crackstore/internal/codec"
 	"crackstore/internal/engine"
 	"crackstore/internal/obs"
 	"crackstore/internal/store"
@@ -96,19 +90,12 @@ import (
 // lists); version 1 is the implied pre-Hello protocol.
 const ProtoVersion = 2
 
-// FrameHeader is the byte size of the frame header: a big-endian payload
-// length, the same length XOR lenEcho, and a big-endian CRC-32 (IEEE) of
-// the payload. The masked echo makes the header self-validating: the
-// payload CRC can only be checked after the length is trusted, so a
-// corrupted length byte would otherwise mis-frame the stream — the reader
-// could block forever waiting for bytes that never come instead of
-// failing. With the echo, any corruption confined to the length field is
-// detected before a single payload byte is read.
-const FrameHeader = 12
+// FrameHeader is the byte size of the frame header (see internal/codec).
+const FrameHeader = codec.FrameHeader
 
-// lenEcho masks the redundant length copy so an all-zero header (a common
-// failure shape) never validates.
-const lenEcho = 0x5AA5C33C
+// frame is the protocol's frame format. Its length-echo mask differs from
+// the WAL's, so a frame of one format never validates as the other's.
+const frame codec.Frame = 0x5AA5C33C
 
 // DefaultMaxFrame is the frame-size cap used when a reader does not choose
 // its own: large enough for result sets of a few million tuples, small
@@ -255,27 +242,20 @@ type Stats struct {
 // Errors shared by the codec layer.
 var (
 	// ErrFrameTooLarge reports a length prefix above the reader's cap.
-	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
+	ErrFrameTooLarge = codec.ErrTooLarge
 	// ErrCorrupt reports a payload that does not decode cleanly.
 	ErrCorrupt = errors.New("wire: corrupt payload")
-	// ErrChecksum reports a frame whose payload does not match its CRC:
-	// the stream carried corrupted bytes and cannot be trusted past this
-	// point.
-	ErrChecksum = errors.New("wire: frame checksum mismatch")
+	// ErrChecksum reports a frame whose length disagrees with its echo or
+	// whose payload does not match its CRC: the stream carried corrupted
+	// bytes and cannot be trusted past this point.
+	ErrChecksum = codec.ErrChecksum
 )
 
 // ---------------------------------------------------------------------------
 // Framing.
 
-// AppendFrame appends the frame header (length + masked length echo + CRC)
-// and payload to buf.
-func AppendFrame(buf, payload []byte) []byte {
-	var hdr [FrameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(payload))^lenEcho)
-	binary.BigEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(payload))
-	return append(append(buf, hdr[:]...), payload...)
-}
+// AppendFrame appends payload to buf as one frame.
+func AppendFrame(buf, payload []byte) []byte { return frame.Append(buf, payload) }
 
 // bodyChunk bounds what a frame header alone can make ReadFrame allocate:
 // a body up to this size gets one exact-size buffer, and a larger one
@@ -300,16 +280,16 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
-// ReadFrame reads one length-prefixed, checksummed payload from r. A
-// header whose masked length echo disagrees with its length draws
-// ErrChecksum immediately, before any payload read — a corrupted length
-// must never decide how many bytes to wait for, or the reader could stall
-// forever on a mis-framed stream. Frames longer than maxFrame
-// (DefaultMaxFrame when <= 0) return ErrFrameTooLarge before any payload
-// allocation, and a body over bodyChunk gets a buffer that grows only as
-// its bytes arrive (see readBody); a payload that fails its CRC returns ErrChecksum — the
-// stream carried corruption and the connection should be abandoned. io.EOF
-// is returned only on a clean boundary (no partial header).
+// ReadFrame reads one frame's payload from r. A header whose masked
+// length echo disagrees with its length draws ErrChecksum immediately,
+// before any payload read — a corrupted length must never decide how many
+// bytes to wait for, or the reader could stall forever on a mis-framed
+// stream. Frames longer than maxFrame (DefaultMaxFrame when <= 0) return
+// ErrFrameTooLarge before any payload allocation, and a body over
+// bodyChunk gets a buffer that grows only as its bytes arrive (see
+// readBody); a payload that fails its CRC returns ErrChecksum — the
+// stream carried corruption and the connection should be abandoned.
+// io.EOF is returned only on a clean boundary (no partial header).
 func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
@@ -321,436 +301,167 @@ func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if echo := binary.BigEndian.Uint32(hdr[4:8]); echo != n^lenEcho {
-		return nil, fmt.Errorf("%w: length %d does not match its echo", ErrChecksum, n)
+	n, err := frame.Len(hdr[:], maxFrame)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
 	}
-	// Compare in uint64: converting a cap >= 2^32 to uint32 would wrap and
-	// reject (or mis-cap) every frame.
-	if uint64(n) > uint64(maxFrame) {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
-	}
-	payload, err := readBody(r, int(n))
+	payload, err := readBody(r, n)
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("wire: truncated frame body: %w", io.ErrUnexpectedEOF)
 		}
 		return nil, err
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(hdr[8:]); got != want {
-		return nil, fmt.Errorf("%w: crc %08x != %08x over %d bytes", ErrChecksum, got, want, n)
+	if err := codec.Check(hdr[:], payload); err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
 	}
 	return payload, nil
 }
 
 // ---------------------------------------------------------------------------
-// Primitive append/consume helpers.
-//
-// The appenders build payloads; the consumers are the strict inverses, each
-// returning the remaining bytes and a hard error on truncation. All sizes
-// decode through consumeLen, which rejects any announced element count that
-// could not fit in the bytes that remain — the property that keeps
-// preallocation proportional to real input.
-
-func appendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
-func appendVarint(buf []byte, v int64) []byte   { return binary.AppendVarint(buf, v) }
-func appendString(buf []byte, s string) []byte {
-	return append(appendUvarint(buf, uint64(len(s))), s...)
-}
-func appendBool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-func appendDuration(buf []byte, d time.Duration) []byte {
-	return appendVarint(buf, int64(d))
-}
-
-func consumeUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, ErrCorrupt
-	}
-	return v, b[n:], nil
-}
-
-func consumeVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, ErrCorrupt
-	}
-	return v, b[n:], nil
-}
-
-// consumeLen decodes an element count and rejects counts that cannot fit in
-// the remaining bytes at minSize bytes per element, bounding every
-// subsequent make() by the true input size.
-func consumeLen(b []byte, minSize int) (int, []byte, error) {
-	v, rest, err := consumeUvarint(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if minSize < 1 {
-		minSize = 1
-	}
-	if v > uint64(len(rest)/minSize) {
-		return 0, nil, ErrCorrupt
-	}
-	return int(v), rest, nil
-}
-
-func consumeString(b []byte) (string, []byte, error) {
-	n, rest, err := consumeLen(b, 1)
-	if err != nil {
-		return "", nil, err
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
-func consumeBool(b []byte) (bool, []byte, error) {
-	if len(b) < 1 {
-		return false, nil, ErrCorrupt
-	}
-	switch b[0] {
-	case 0:
-		return false, b[1:], nil
-	case 1:
-		return true, b[1:], nil
-	}
-	return false, nil, ErrCorrupt
-}
-
-func consumeDuration(b []byte) (time.Duration, []byte, error) {
-	v, rest, err := consumeVarint(b)
-	return time.Duration(v), rest, err
-}
-
-// Value slices (insert tuples, result columns) use fixed 8-byte
-// little-endian encoding rather than varints: results carry thousands of
-// values per response, and a fixed-width loop en/decodes an order of
-// magnitude faster than per-value varints — on a loopback or datacenter
-// link the serving path is CPU-bound, not bandwidth-bound.
-
-func appendValues(buf []byte, vals []store.Value) []byte {
-	buf = appendUvarint(buf, uint64(len(vals)))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	return buf
-}
-
-func consumeValues(b []byte) ([]store.Value, []byte, error) {
-	n, rest, err := consumeLen(b, 8)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := make([]store.Value, n)
-	for i := range vals {
-		vals[i] = store.Value(binary.LittleEndian.Uint64(rest[i*8:]))
-	}
-	return vals, rest[n*8:], nil
-}
-
-// ---------------------------------------------------------------------------
-// Query / Result / Cost bodies.
-
-func appendPred(buf []byte, p store.Pred) []byte {
-	buf = appendVarint(buf, int64(p.Lo))
-	buf = appendVarint(buf, int64(p.Hi))
-	buf = appendBool(buf, p.LoIncl)
-	return appendBool(buf, p.HiIncl)
-}
-
-func consumePred(b []byte) (store.Pred, []byte, error) {
-	var (
-		p   store.Pred
-		lo  int64
-		hi  int64
-		err error
-	)
-	if lo, b, err = consumeVarint(b); err != nil {
-		return p, nil, err
-	}
-	if hi, b, err = consumeVarint(b); err != nil {
-		return p, nil, err
-	}
-	p.Lo, p.Hi = store.Value(lo), store.Value(hi)
-	if p.LoIncl, b, err = consumeBool(b); err != nil {
-		return p, nil, err
-	}
-	if p.HiIncl, b, err = consumeBool(b); err != nil {
-		return p, nil, err
-	}
-	return p, b, nil
-}
+// Query / Result / Cost bodies. Primitives (varints, strings, bools,
+// value words) are internal/codec's; the bodies below compose them.
 
 func appendQuery(buf []byte, q engine.Query) []byte {
-	buf = appendUvarint(buf, uint64(len(q.Preds)))
+	buf = binary.AppendUvarint(buf, uint64(len(q.Preds)))
 	for _, ap := range q.Preds {
-		buf = appendString(buf, ap.Attr)
-		buf = appendPred(buf, ap.Pred)
+		buf = codec.AppendString(buf, ap.Attr)
+		buf = binary.AppendVarint(buf, ap.Pred.Lo)
+		buf = binary.AppendVarint(buf, ap.Pred.Hi)
+		buf = codec.AppendBool(buf, ap.Pred.LoIncl)
+		buf = codec.AppendBool(buf, ap.Pred.HiIncl)
 	}
-	buf = appendUvarint(buf, uint64(len(q.Projs)))
+	buf = binary.AppendUvarint(buf, uint64(len(q.Projs)))
 	for _, p := range q.Projs {
-		buf = appendString(buf, p)
+		buf = codec.AppendString(buf, p)
 	}
-	return appendBool(buf, q.Disjunctive)
+	return codec.AppendBool(buf, q.Disjunctive)
 }
 
-func consumeQuery(b []byte) (engine.Query, []byte, error) {
-	var (
-		q   engine.Query
-		n   int
-		err error
-	)
-	if n, b, err = consumeLen(b, 5); err != nil { // attr len + 4 pred bytes minimum
-		return q, nil, err
-	}
-	if n > 0 {
+func decodeQuery(d *codec.Decoder) (q engine.Query) {
+	if n := d.Count(5); n > 0 { // attr len + 4 pred bytes minimum
 		q.Preds = make([]engine.AttrPred, n)
 		for i := range q.Preds {
-			if q.Preds[i].Attr, b, err = consumeString(b); err != nil {
-				return q, nil, err
-			}
-			if q.Preds[i].Pred, b, err = consumePred(b); err != nil {
-				return q, nil, err
-			}
+			ap := &q.Preds[i]
+			ap.Attr = d.Str()
+			ap.Pred.Lo, ap.Pred.Hi = d.Varint(), d.Varint()
+			ap.Pred.LoIncl, ap.Pred.HiIncl = d.Bool(), d.Bool()
 		}
 	}
-	if n, b, err = consumeLen(b, 1); err != nil {
-		return q, nil, err
-	}
-	if n > 0 {
+	if n := d.Count(1); n > 0 {
 		q.Projs = make([]string, n)
 		for i := range q.Projs {
-			if q.Projs[i], b, err = consumeString(b); err != nil {
-				return q, nil, err
-			}
+			q.Projs[i] = d.Str()
 		}
 	}
-	if q.Disjunctive, b, err = consumeBool(b); err != nil {
-		return q, nil, err
-	}
-	return q, b, nil
+	q.Disjunctive = d.Bool()
+	return q
 }
 
 // appendResult encodes a result in sorted column order, so the encoding of
 // a given Result is canonical regardless of map iteration order — the
 // answer-equivalence tests byte-compare encodings.
 func appendResult(buf []byte, res engine.Result) []byte {
-	buf = appendUvarint(buf, uint64(res.N))
+	buf = binary.AppendUvarint(buf, uint64(res.N))
 	names := make([]string, 0, len(res.Cols))
 	for name := range res.Cols {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	buf = appendUvarint(buf, uint64(len(names)))
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
-		buf = appendString(buf, name)
-		buf = appendValues(buf, res.Cols[name])
+		buf = codec.AppendString(buf, name)
+		buf = codec.AppendValues(buf, res.Cols[name])
 	}
 	return buf
 }
 
-func consumeResult(b []byte) (engine.Result, []byte, error) {
-	var (
-		res engine.Result
-		n   uint64
-		err error
-	)
-	if n, b, err = consumeUvarint(b); err != nil {
-		return res, nil, err
-	}
+func decodeResult(d *codec.Decoder) (res engine.Result) {
 	// N is the row count, not a buffer size; cap it sanely rather than
 	// against remaining bytes (columns may legitimately be absent).
-	if n > math.MaxInt32 {
-		return res, nil, ErrCorrupt
+	if n := d.Uvarint(); n <= math.MaxInt32 {
+		res.N = int(n)
+	} else {
+		d.Fail(ErrCorrupt)
 	}
-	res.N = int(n)
-	cols, b, err := consumeLen(b, 2) // name len + value count minimum
-	if err != nil {
-		return res, nil, err
-	}
+	cols := d.Count(2) // name len + value count minimum
 	res.Cols = make(map[string][]store.Value, cols)
-	for i := 0; i < cols; i++ {
-		var (
-			name string
-			vals []store.Value
-		)
-		if name, b, err = consumeString(b); err != nil {
-			return res, nil, err
-		}
-		if vals, b, err = consumeValues(b); err != nil {
-			return res, nil, err
-		}
+	for i := 0; i < cols && !d.Failed(); i++ {
+		name, vals := d.Str(), d.Values()
 		if _, dup := res.Cols[name]; dup {
-			return res, nil, ErrCorrupt
+			d.Fail(fmt.Errorf("%w: duplicate column %q", ErrCorrupt, name))
 		}
 		res.Cols[name] = vals
 	}
-	return res, b, nil
+	return res
 }
 
 func appendCost(buf []byte, c engine.Cost) []byte {
-	buf = appendDuration(buf, c.Sel)
-	return appendDuration(buf, c.TR)
+	buf = binary.AppendVarint(buf, int64(c.Sel))
+	return binary.AppendVarint(buf, int64(c.TR))
 }
 
-func consumeCost(b []byte) (engine.Cost, []byte, error) {
-	var (
-		c   engine.Cost
-		err error
-	)
-	if c.Sel, b, err = consumeDuration(b); err != nil {
-		return c, nil, err
-	}
-	if c.TR, b, err = consumeDuration(b); err != nil {
-		return c, nil, err
-	}
-	return c, b, nil
+func decodeCost(d *codec.Decoder) engine.Cost {
+	return engine.Cost{Sel: time.Duration(d.Varint()), TR: time.Duration(d.Varint())}
 }
 
 func appendStats(buf []byte, st Stats) []byte {
-	buf = appendUvarint(buf, uint64(st.Queries))
-	buf = appendUvarint(buf, uint64(st.Errors))
-	buf = appendUvarint(buf, uint64(st.Sheds))
-	buf = appendDuration(buf, st.Elapsed)
-	buf = appendUvarint(buf, math.Float64bits(st.QPS))
-	buf = appendDuration(buf, st.P50)
-	buf = appendDuration(buf, st.P95)
-	buf = appendDuration(buf, st.P99)
-	return appendDuration(buf, st.Max)
+	buf = binary.AppendUvarint(buf, uint64(st.Queries))
+	buf = binary.AppendUvarint(buf, uint64(st.Errors))
+	buf = binary.AppendUvarint(buf, uint64(st.Sheds))
+	buf = binary.AppendVarint(buf, int64(st.Elapsed))
+	buf = binary.AppendUvarint(buf, math.Float64bits(st.QPS))
+	for _, p := range [...]time.Duration{st.P50, st.P95, st.P99, st.Max} {
+		buf = binary.AppendVarint(buf, int64(p))
+	}
+	return buf
 }
 
-func consumeStats(b []byte) (Stats, []byte, error) {
-	var (
-		st  Stats
-		u   uint64
-		err error
-	)
-	if u, b, err = consumeUvarint(b); err != nil {
-		return st, nil, err
+// decodeStats decodes the counters as non-negative ints: they are 64-bit,
+// since a long-lived daemon legitimately exceeds 2^31 queries within hours
+// at measured rates.
+func decodeStats(d *codec.Decoder) Stats {
+	var st Stats
+	st.Queries, st.Errors, st.Sheds = d.Int(), d.Int(), d.Int()
+	st.Elapsed = time.Duration(d.Varint())
+	st.QPS = math.Float64frombits(d.Uvarint())
+	for _, p := range [...]*time.Duration{&st.P50, &st.P95, &st.P99, &st.Max} {
+		*p = time.Duration(d.Varint())
 	}
-	// Counters are 64-bit ints: a long-lived daemon legitimately exceeds
-	// 2^31 queries within hours at measured rates.
-	if u > math.MaxInt64 {
-		return st, nil, ErrCorrupt
-	}
-	st.Queries = int(u)
-	if u, b, err = consumeUvarint(b); err != nil {
-		return st, nil, err
-	}
-	if u > math.MaxInt64 {
-		return st, nil, ErrCorrupt
-	}
-	st.Errors = int(u)
-	if u, b, err = consumeUvarint(b); err != nil {
-		return st, nil, err
-	}
-	if u > math.MaxInt64 {
-		return st, nil, ErrCorrupt
-	}
-	st.Sheds = int(u)
-	if st.Elapsed, b, err = consumeDuration(b); err != nil {
-		return st, nil, err
-	}
-	if u, b, err = consumeUvarint(b); err != nil {
-		return st, nil, err
-	}
-	st.QPS = math.Float64frombits(u)
-	if st.P50, b, err = consumeDuration(b); err != nil {
-		return st, nil, err
-	}
-	if st.P95, b, err = consumeDuration(b); err != nil {
-		return st, nil, err
-	}
-	if st.P99, b, err = consumeDuration(b); err != nil {
-		return st, nil, err
-	}
-	if st.Max, b, err = consumeDuration(b); err != nil {
-		return st, nil, err
-	}
-	return st, b, nil
+	return st
 }
 
 // appendSpans encodes a span list: count, then per span a stage byte and
 // start/dur as nanosecond uvarints. Negative offsets clamp to zero (a
 // span never legitimately starts before its trace).
 func appendSpans(buf []byte, spans []obs.Span) []byte {
-	buf = appendUvarint(buf, uint64(len(spans)))
+	buf = binary.AppendUvarint(buf, uint64(len(spans)))
 	for _, sp := range spans {
 		buf = append(buf, byte(sp.Stage))
-		start, dur := sp.Start, sp.Dur
-		if start < 0 {
-			start = 0
-		}
-		if dur < 0 {
-			dur = 0
-		}
-		buf = appendUvarint(buf, uint64(start))
-		buf = appendUvarint(buf, uint64(dur))
+		buf = binary.AppendUvarint(buf, uint64(max(sp.Start, 0)))
+		buf = binary.AppendUvarint(buf, uint64(max(sp.Dur, 0)))
 	}
 	return buf
 }
 
-func consumeSpans(b []byte) ([]obs.Span, []byte, error) {
-	n, b, err := consumeLen(b, 3) // stage byte + two 1-byte uvarints minimum
-	if err != nil {
-		return nil, nil, err
-	}
+func decodeSpans(d *codec.Decoder) []obs.Span {
+	n := d.Count(3) // stage byte + two 1-byte uvarints minimum
 	if n == 0 {
-		return nil, b, nil
+		return nil
 	}
 	spans := make([]obs.Span, n)
 	for i := range spans {
-		if len(b) < 1 {
-			return nil, nil, ErrCorrupt
+		st := obs.Stage(d.Byte())
+		if (st == 0 || st > obs.MaxStage) && !d.Failed() {
+			d.Fail(fmt.Errorf("%w: unknown trace stage %d", ErrCorrupt, st))
 		}
-		st := obs.Stage(b[0])
-		if st == 0 || st > obs.MaxStage {
-			return nil, nil, fmt.Errorf("%w: unknown trace stage %d", ErrCorrupt, b[0])
-		}
-		spans[i].Stage = st
-		b = b[1:]
-		var u uint64
-		if u, b, err = consumeUvarint(b); err != nil {
-			return nil, nil, err
-		}
-		if u > math.MaxInt64 {
-			return nil, nil, fmt.Errorf("%w: span start overflows", ErrCorrupt)
-		}
-		spans[i].Start = time.Duration(u)
-		if u, b, err = consumeUvarint(b); err != nil {
-			return nil, nil, err
-		}
-		if u > math.MaxInt64 {
-			return nil, nil, fmt.Errorf("%w: span duration overflows", ErrCorrupt)
-		}
-		spans[i].Dur = time.Duration(u)
+		spans[i] = obs.Span{Stage: st, Start: time.Duration(d.Int()), Dur: time.Duration(d.Int())}
 	}
-	return spans, b, nil
+	return spans
 }
 
 // ---------------------------------------------------------------------------
 // Request codec.
-
-// beginFrame reserves the frame header (length + CRC) in buf, returning
-// its offset; endFrame backfills both once the payload has been encoded in
-// place. Encoding directly into the destination (the pooled frame buffers
-// of netserve and the client) avoids a per-message scratch allocation and
-// a full payload copy on the hot path.
-func beginFrame(buf []byte) ([]byte, int) {
-	return append(buf, make([]byte, FrameHeader)...), len(buf)
-}
-
-func endFrame(buf []byte, start int) []byte {
-	payload := buf[start+FrameHeader:]
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[start+4:], uint32(len(payload))^lenEcho)
-	binary.BigEndian.PutUint32(buf[start+8:], crc32.ChecksumIEEE(payload))
-	return buf
-}
 
 // maxTTLMicros bounds the decoded deadline hint so a corrupt (or
 // adversarial) TTL cannot overflow the Duration conversion.
@@ -758,107 +469,87 @@ const maxTTLMicros = uint64(math.MaxInt64 / int64(time.Microsecond))
 
 // AppendRequest appends req as one complete frame (prefix included).
 func AppendRequest(buf []byte, req *Request) []byte {
-	buf, start := beginFrame(buf)
+	buf, start := codec.Begin(buf)
 	op := byte(req.Op)
 	if req.Trace != 0 {
 		op |= traceFlag
 	}
 	buf = append(buf, op)
-	buf = appendUvarint(buf, req.ID)
-	ttl := req.TTL / time.Microsecond
-	if ttl < 0 {
-		ttl = 0
-	}
-	buf = appendUvarint(buf, uint64(ttl))
+	buf = binary.AppendUvarint(buf, req.ID)
+	buf = binary.AppendUvarint(buf, uint64(max(req.TTL/time.Microsecond, 0)))
 	if req.Trace != 0 {
-		buf = appendUvarint(buf, req.Trace)
+		buf = binary.AppendUvarint(buf, req.Trace)
 	}
 	switch req.Op {
 	case OpQuery, OpQueryRO:
 		buf = appendQuery(buf, req.Query)
 	case OpInsert:
-		buf = appendUvarint(buf, req.Token)
-		buf = appendValues(buf, req.Vals)
+		buf = binary.AppendUvarint(buf, req.Token)
+		buf = codec.AppendValues(buf, req.Vals)
 	case OpDelete:
-		buf = appendUvarint(buf, req.Token)
-		buf = appendVarint(buf, int64(req.Key))
+		buf = binary.AppendUvarint(buf, req.Token)
+		buf = binary.AppendVarint(buf, int64(req.Key))
 	case OpStats, OpPing:
 		// no body
 	case OpHello:
-		buf = appendUvarint(buf, req.Version)
+		buf = binary.AppendUvarint(buf, req.Version)
 	default:
 		panic(fmt.Sprintf("wire: cannot encode request op %v", req.Op))
 	}
-	return endFrame(buf, start)
+	return frame.End(buf, start)
+}
+
+// requestHeader decodes a request's op byte (trace flag stripped) and ID.
+func requestHeader(d *codec.Decoder) (op Op, id uint64, traced bool) {
+	tagged := d.Byte()
+	return Op(tagged &^ traceFlag), d.Uvarint(), tagged&traceFlag != 0
+}
+
+// RequestHeader returns the op and ID of a request payload whose full
+// decode failed, so the server can answer the error in-band to the right
+// waiter. ok is false when even the header does not decode. The op never
+// carries the trace flag: the answer is an untraced error response.
+func RequestHeader(payload []byte) (op Op, id uint64, ok bool) {
+	d := codec.NewDecoder(payload, ErrCorrupt)
+	op, id, _ = requestHeader(&d)
+	return op, id, !d.Failed()
 }
 
 // DecodeRequest decodes one request payload (a frame body).
 func DecodeRequest(payload []byte) (Request, error) {
 	var req Request
-	if len(payload) < 1 {
-		return req, ErrCorrupt
+	d := codec.NewDecoder(payload, ErrCorrupt)
+	var traced bool
+	req.Op, req.ID, traced = requestHeader(&d)
+	if ttl := d.Uvarint(); ttl <= maxTTLMicros {
+		req.TTL = time.Duration(ttl) * time.Microsecond
+	} else {
+		d.Fail(fmt.Errorf("%w: ttl overflows", ErrCorrupt))
 	}
-	tagged, b := payload[0], payload[1:]
-	traced := tagged&traceFlag != 0
-	op := Op(tagged &^ traceFlag)
-	var err error
-	if req.ID, b, err = consumeUvarint(b); err != nil {
-		return req, err
-	}
-	var ttl uint64
-	if ttl, b, err = consumeUvarint(b); err != nil {
-		return req, err
-	}
-	if ttl > maxTTLMicros {
-		return req, fmt.Errorf("%w: ttl overflows", ErrCorrupt)
-	}
-	req.TTL = time.Duration(ttl) * time.Microsecond
 	if traced {
-		if req.Trace, b, err = consumeUvarint(b); err != nil {
-			return req, err
-		}
-		if req.Trace == 0 {
-			return req, fmt.Errorf("%w: traced request with zero trace id", ErrCorrupt)
+		if req.Trace = d.Uvarint(); req.Trace == 0 {
+			d.Fail(fmt.Errorf("%w: traced request with zero trace id", ErrCorrupt))
 		}
 	}
-	req.Op = op
-	switch op {
+	switch req.Op {
 	case OpQuery, OpQueryRO:
-		if req.Query, b, err = consumeQuery(b); err != nil {
-			return req, err
-		}
+		req.Query = decodeQuery(&d)
 	case OpInsert:
-		if req.Token, b, err = consumeUvarint(b); err != nil {
-			return req, err
-		}
-		if req.Vals, b, err = consumeValues(b); err != nil {
-			return req, err
-		}
+		req.Token = d.Uvarint()
+		req.Vals = d.Values()
 	case OpDelete:
-		if req.Token, b, err = consumeUvarint(b); err != nil {
-			return req, err
+		req.Token = d.Uvarint()
+		if req.Key = int(d.Varint()); req.Key < 0 {
+			d.Fail(ErrCorrupt)
 		}
-		var k int64
-		if k, b, err = consumeVarint(b); err != nil {
-			return req, err
-		}
-		if k < 0 {
-			return req, ErrCorrupt
-		}
-		req.Key = int(k)
 	case OpStats, OpPing:
 		// no body
 	case OpHello:
-		if req.Version, b, err = consumeUvarint(b); err != nil {
-			return req, err
-		}
+		req.Version = d.Uvarint()
 	default:
-		return req, fmt.Errorf("%w: unknown request op %d", ErrCorrupt, byte(op))
+		d.Fail(fmt.Errorf("%w: unknown request op %d", ErrCorrupt, byte(req.Op)))
 	}
-	if len(b) != 0 {
-		return req, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b))
-	}
-	return req, nil
+	return req, d.Done()
 }
 
 // ---------------------------------------------------------------------------
@@ -866,17 +557,17 @@ func DecodeRequest(payload []byte) (Request, error) {
 
 // AppendResponse appends resp as one complete frame (prefix included).
 func AppendResponse(buf []byte, resp *Response) []byte {
-	buf, start := beginFrame(buf)
+	buf, start := codec.Begin(buf)
 	tag := byte(resp.Op) | respTag
 	if len(resp.Spans) > 0 {
 		tag |= traceFlag
 	}
 	buf = append(buf, tag)
-	buf = appendUvarint(buf, resp.ID)
+	buf = binary.AppendUvarint(buf, resp.ID)
 	buf = append(buf, byte(resp.Status))
 	switch resp.Status {
 	case StatusErr:
-		buf = appendString(buf, resp.Err)
+		buf = codec.AppendString(buf, resp.Err)
 	case StatusRefused:
 		// no body: the query must be retried as OpQuery
 	case StatusOverloaded:
@@ -887,13 +578,13 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 			buf = appendResult(buf, resp.Result)
 			buf = appendCost(buf, resp.Cost)
 		case OpInsert:
-			buf = appendVarint(buf, int64(resp.Key))
+			buf = binary.AppendVarint(buf, int64(resp.Key))
 		case OpDelete, OpPing:
 			// no body
 		case OpStats:
 			buf = appendStats(buf, resp.Stats)
 		case OpHello:
-			buf = appendUvarint(buf, resp.Version)
+			buf = binary.AppendUvarint(buf, resp.Version)
 		default:
 			panic(fmt.Sprintf("wire: cannot encode response op %v", resp.Op))
 		}
@@ -903,86 +594,58 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 	if len(resp.Spans) > 0 {
 		buf = appendSpans(buf, resp.Spans)
 	}
-	return endFrame(buf, start)
+	return frame.End(buf, start)
 }
 
 // DecodeResponse decodes one response payload (a frame body).
 func DecodeResponse(payload []byte) (Response, error) {
 	var resp Response
-	if len(payload) < 1 {
-		return resp, ErrCorrupt
-	}
-	tagged, b := payload[0], payload[1:]
-	if tagged&respTag == 0 {
+	d := codec.NewDecoder(payload, ErrCorrupt)
+	tagged := d.Byte()
+	if tagged&respTag == 0 && !d.Failed() {
 		return resp, fmt.Errorf("%w: payload is not a response", ErrCorrupt)
 	}
 	traced := tagged&traceFlag != 0
 	resp.Op = Op(tagged &^ (respTag | traceFlag))
-	var err error
-	if resp.ID, b, err = consumeUvarint(b); err != nil {
-		return resp, err
-	}
-	if len(b) < 1 {
-		return resp, ErrCorrupt
-	}
-	resp.Status, b = Status(b[0]), b[1:]
+	resp.ID = d.Uvarint()
+	resp.Status = Status(d.Byte())
 	switch resp.Status {
 	case StatusErr:
-		if resp.Err, b, err = consumeString(b); err != nil {
-			return resp, err
-		}
+		resp.Err = d.Str()
 	case StatusRefused:
 		if resp.Op != OpQueryRO {
-			return resp, fmt.Errorf("%w: refused status on %v", ErrCorrupt, resp.Op)
+			d.Fail(fmt.Errorf("%w: refused status on %v", ErrCorrupt, resp.Op))
 		}
 	case StatusOverloaded:
 		switch resp.Op {
 		case OpQuery, OpQueryRO, OpInsert, OpDelete, OpStats, OpPing, OpHello:
 			// no body
 		default:
-			return resp, fmt.Errorf("%w: overloaded status on unknown op %d", ErrCorrupt, byte(resp.Op))
+			d.Fail(fmt.Errorf("%w: overloaded status on unknown op %d", ErrCorrupt, byte(resp.Op)))
 		}
 	case StatusOK:
 		switch resp.Op {
 		case OpQuery, OpQueryRO:
-			if resp.Result, b, err = consumeResult(b); err != nil {
-				return resp, err
-			}
-			if resp.Cost, b, err = consumeCost(b); err != nil {
-				return resp, err
-			}
+			resp.Result = decodeResult(&d)
+			resp.Cost = decodeCost(&d)
 		case OpInsert:
-			var k int64
-			if k, b, err = consumeVarint(b); err != nil {
-				return resp, err
+			if resp.Key = int(d.Varint()); resp.Key < 0 {
+				d.Fail(ErrCorrupt)
 			}
-			if k < 0 {
-				return resp, ErrCorrupt
-			}
-			resp.Key = int(k)
 		case OpDelete, OpPing:
 			// no body
 		case OpStats:
-			if resp.Stats, b, err = consumeStats(b); err != nil {
-				return resp, err
-			}
+			resp.Stats = decodeStats(&d)
 		case OpHello:
-			if resp.Version, b, err = consumeUvarint(b); err != nil {
-				return resp, err
-			}
+			resp.Version = d.Uvarint()
 		default:
-			return resp, fmt.Errorf("%w: unknown response op %d", ErrCorrupt, byte(resp.Op))
+			d.Fail(fmt.Errorf("%w: unknown response op %d", ErrCorrupt, byte(resp.Op)))
 		}
 	default:
-		return resp, fmt.Errorf("%w: unknown status %d", ErrCorrupt, byte(resp.Status))
+		d.Fail(fmt.Errorf("%w: unknown status %d", ErrCorrupt, byte(resp.Status)))
 	}
 	if traced {
-		if resp.Spans, b, err = consumeSpans(b); err != nil {
-			return resp, err
-		}
+		resp.Spans = decodeSpans(&d)
 	}
-	if len(b) != 0 {
-		return resp, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b))
-	}
-	return resp, nil
+	return resp, d.Done()
 }

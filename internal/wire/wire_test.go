@@ -11,6 +11,7 @@ import (
 	"testing/iotest"
 	"time"
 
+	"crackstore/internal/codec"
 	"crackstore/internal/engine"
 	"crackstore/internal/store"
 )
@@ -184,7 +185,7 @@ func TestReadFrameHostileLength(t *testing.T) {
 	const announced = 60 << 20
 	var hdr [FrameHeader]byte
 	binary.BigEndian.PutUint32(hdr[:4], announced)
-	binary.BigEndian.PutUint32(hdr[4:8], announced^lenEcho)
+	binary.BigEndian.PutUint32(hdr[4:8], announced^uint32(frame))
 	stream := append(hdr[:], 0x01)
 	const runs = 4
 	var before, after runtime.MemStats
@@ -303,12 +304,12 @@ func TestDecodeResilienceFrames(t *testing.T) {
 			name: "truncated token",
 			// Op + ID + TTL, then a token uvarint with its continuation bit
 			// set and nothing after it.
-			payload: append(appendUvarint(appendUvarint([]byte{byte(OpInsert)}, 6), 0), 0x80),
+			payload: append(binary.AppendUvarint(binary.AppendUvarint([]byte{byte(OpInsert)}, 6), 0), 0x80),
 			wantErr: true,
 		},
 		{
 			name: "ttl overflows duration",
-			payload: appendUvarint(appendUvarint([]byte{byte(OpPing)}, 7),
+			payload: binary.AppendUvarint(binary.AppendUvarint([]byte{byte(OpPing)}, 7),
 				uint64(1)<<63),
 			wantErr: true,
 		},
@@ -358,7 +359,7 @@ func TestDecodeResilienceFrames(t *testing.T) {
 		},
 		{
 			name: "shed on unknown op",
-			payload: append(appendUvarint([]byte{0x7F | respTag}, 5),
+			payload: append(binary.AppendUvarint([]byte{0x7F | respTag}, 5),
 				byte(StatusOverloaded)),
 			wantErr: true,
 		},
@@ -392,27 +393,27 @@ func TestDecodeResilienceFrames(t *testing.T) {
 func TestDecodeAdversarialCounts(t *testing.T) {
 	// OpInsert with a claimed 2^40 values in a tiny payload.
 	payload := []byte{byte(OpInsert)}
-	payload = appendUvarint(payload, 1)     // ID
-	payload = appendUvarint(payload, 0)     // TTL
-	payload = appendUvarint(payload, 7)     // token
-	payload = appendUvarint(payload, 1<<40) // value count
+	payload = binary.AppendUvarint(payload, 1)     // ID
+	payload = binary.AppendUvarint(payload, 0)     // TTL
+	payload = binary.AppendUvarint(payload, 7)     // token
+	payload = binary.AppendUvarint(payload, 1<<40) // value count
 	if _, err := DecodeRequest(payload); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("huge insert count: want ErrCorrupt, got %v", err)
 	}
 	// Query with a claimed 2^32 predicates.
 	payload = []byte{byte(OpQuery)}
-	payload = appendUvarint(payload, 1)     // ID
-	payload = appendUvarint(payload, 0)     // TTL
-	payload = appendUvarint(payload, 1<<32) // predicate count
+	payload = binary.AppendUvarint(payload, 1)     // ID
+	payload = binary.AppendUvarint(payload, 0)     // TTL
+	payload = binary.AppendUvarint(payload, 1<<32) // predicate count
 	if _, err := DecodeRequest(payload); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("huge pred count: want ErrCorrupt, got %v", err)
 	}
 	// Response result with a huge column count.
 	payload = []byte{byte(OpQuery) | respTag}
-	payload = appendUvarint(payload, 1)
+	payload = binary.AppendUvarint(payload, 1)
 	payload = append(payload, byte(StatusOK))
-	payload = appendUvarint(payload, 3)     // N
-	payload = appendUvarint(payload, 1<<50) // columns
+	payload = binary.AppendUvarint(payload, 3)     // N
+	payload = binary.AppendUvarint(payload, 1<<50) // columns
 	if _, err := DecodeResponse(payload); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("huge column count: want ErrCorrupt, got %v", err)
 	}
@@ -420,16 +421,46 @@ func TestDecodeAdversarialCounts(t *testing.T) {
 
 func TestDecodeRejectsDuplicateColumns(t *testing.T) {
 	payload := []byte{byte(OpQuery) | respTag}
-	payload = appendUvarint(payload, 9)
+	payload = binary.AppendUvarint(payload, 9)
 	payload = append(payload, byte(StatusOK))
-	payload = appendUvarint(payload, 1) // N
-	payload = appendUvarint(payload, 2) // columns
+	payload = binary.AppendUvarint(payload, 1) // N
+	payload = binary.AppendUvarint(payload, 2) // columns
 	for i := 0; i < 2; i++ {
-		payload = appendString(payload, "B")
-		payload = appendValues(payload, []store.Value{int64(i)})
+		payload = codec.AppendString(payload, "B")
+		payload = codec.AppendValues(payload, []store.Value{int64(i)})
 	}
 	payload = appendCost(payload, engine.Cost{})
 	if _, err := DecodeResponse(payload); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("duplicate column: want ErrCorrupt, got %v", err)
+	}
+}
+
+// TestWarmFrameAllocs pins the hot path's allocation budget on a warm
+// query frame: encoding a request into a reused buffer allocates nothing,
+// a response only its sorted column-name list, and decoding only the
+// decoded values themselves — the decoder is a stack value.
+func TestWarmFrameAllocs(t *testing.T) {
+	req := Request{ID: 77, Op: OpQuery, Query: engine.Query{
+		Preds: []engine.AttrPred{{Attr: "A", Pred: store.Range(10, 2000)}},
+		Projs: []string{"B"},
+	}}
+	resp := Response{ID: 77, Op: OpQuery, Status: StatusOK,
+		Result: engine.Result{N: 3, Cols: map[string][]store.Value{"B": {1, 2, 3}}}}
+	reqPayload := AppendRequest(nil, &req)[FrameHeader:]
+	respPayload := AppendResponse(nil, &resp)[FrameHeader:]
+	buf := make([]byte, 0, 1<<10)
+	for _, c := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"AppendRequest", 0, func() { buf = AppendRequest(buf[:0], &req) }},
+		{"AppendResponse", 1, func() { buf = AppendResponse(buf[:0], &resp) }},
+		{"DecodeRequest", 2, func() { DecodeRequest(reqPayload) }},
+		{"DecodeResponse", 3, func() { DecodeResponse(respPayload) }},
+	} {
+		if got := testing.AllocsPerRun(200, c.run); got > c.max {
+			t.Errorf("%s: %.0f allocs per warm query frame, want <= %.0f", c.name, got, c.max)
+		}
 	}
 }
