@@ -129,7 +129,7 @@ func (c concurrentConfig) runMode(name string, build func(*store.Relation) engin
 	// not pollute the measured serving window.
 	runtime.GC()
 
-	srv := serve.New(e, serve.Options{Workers: c.Clients})
+	srv := serve.New(e, serve.Options{Workers: c.Clients, LatencyWindow: c.Queries})
 	perClient := c.Queries / c.Clients
 	width, span := c.churnGeometry()
 	var wg sync.WaitGroup

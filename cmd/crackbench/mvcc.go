@@ -113,7 +113,7 @@ func (c mvccConfig) mvccArm(name string, snapshot, writer bool) (serve.Stats, en
 	}
 	runtime.GC()
 
-	srv := serve.New(e, serve.Options{Workers: c.Clients, Snapshot: snapshot})
+	srv := serve.New(e, serve.Options{Workers: c.Clients, Snapshot: snapshot, LatencyWindow: c.Queries})
 	shared := srv.Engine()
 
 	var stop atomic.Bool

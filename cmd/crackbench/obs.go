@@ -73,7 +73,7 @@ func (c obsConfig) runObsMode(name string, reg *obs.Registry, traceEvery int) (s
 	}
 	runtime.GC()
 
-	srv := serve.New(e, serve.Options{Workers: c.Clients, Metrics: reg})
+	srv := serve.New(e, serve.Options{Workers: c.Clients, Metrics: reg, LatencyWindow: c.Queries})
 	engine.RegisterMetrics(reg, srv.Engine())
 	scrapes := 0
 	stop := make(chan struct{})

@@ -135,8 +135,17 @@
 //     within noise of a writer-free baseline while the RWMutex wrapper's
 //     p99 inflates by the full crack+merge duration (hundreds of times
 //     worse at GOMAXPROCS >= 2 in the committed bench/BENCH_mvcc_reads.json,
-//     regenerated by crackbench -mvcc). The cost is version-build
-//     allocation on the write path and a piece-granularity copy per
+//     regenerated by crackbench -mvcc). A version keeps its pieces in a
+//     chunked piece table: chunks of at most 64 pieces and their cuts
+//     under a flat directory of each chunk and its leading cut, so a cut
+//     lookup is two binary searches. A write copies only what it changes:
+//     queuing a pending insert or delete shares the whole table, and a
+//     crack or merge copies the pieces it rewrites, the chunks holding
+//     them and the chunk directory — O(changed + pieces/64), not
+//     O(pieces). Pending inserts and deletes are both kept sorted by value
+//     (a delete carries the deleted row's value), so a read finds the ones
+//     in its range by binary search and a merge visits only the pieces
+//     that hold them. The remaining write cost is the piece copy per
 //     crack. Appropriate whenever reads must meet a latency target while
 //     the store keeps adapting — the common case this package exists for.
 //     Implemented for SelCrack engines; other kinds fall back to

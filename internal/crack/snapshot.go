@@ -14,26 +14,33 @@ import (
 // consistent snapshot without any lock.
 //
 // A version is an immutable partition of the column into pieces (each piece
-// an aligned head/tail slice pair) separated by cut bounds — the flattened
-// form of the cracker index — plus the pending-update structures of the
-// Ripple algorithm. Readers load the current version with one atomic
-// pointer read (inside an Epoch pin) and gather from it; nothing a reader
-// touches is ever mutated.
+// an aligned head/tail slice pair), each with its left cut bound — the
+// flattened form of the cracker index — plus the pending-update structures
+// of the Ripple algorithm. The pieces and cuts live in a chunked piece
+// table (pieceTable): chunks of at most 64 pieces under a flat directory of
+// the chunks and their leading cuts. Readers load the current version
+// with one atomic pointer read (inside an Epoch pin) and gather from it;
+// nothing a reader touches is ever mutated.
 //
 // Writers (Select merging/cracking, Insert, Delete) build replacement
 // pieces aside — a crack copies only the piece a bound falls into and
 // partitions the copy with the same crack-in-two/crack-in-three kernels
 // (and Policy pivots) Pairs uses — then publish a new version with one
 // atomic pointer swap and retire the old one into a limbo list tagged by
-// the shared Epoch clock. Retired pieces are reclaimed only when every
-// reader that could still see them has exited its pin. Writers must be
-// externally serialized (the owning engine's write path holds a mutex);
-// readers need no coordination at all.
+// the shared Epoch clock. An edit copies only what it changes: a write
+// that only queues a pending update shares the whole piece table, and one
+// that replaces or splits pieces copies the directory (one entry per 64
+// pieces) and the chunks it touches, never the whole table. Retired pieces
+// are reclaimed only when every reader that could still see them has
+// exited its pin. Writers must be externally serialized (the owning
+// engine's write path holds a mutex); readers need no coordination at all.
 //
-// Pending updates never block snapshot reads: GatherRO applies pending
-// insertions virtually (appending matching keys) and filters pending
-// deletions per tuple, so only a missing cut — a real crack — routes a
-// query to the writer path.
+// Pending updates never block snapshot reads. Both lists are kept sorted
+// by value — a pending deletion carries the deleted tuple's value — so
+// GatherRO finds the insertions to append and the deletions to filter in
+// its range by binary search, and a merge visits only the pieces that hold
+// a pending value. Only a missing cut — a real crack — or an overlong
+// backlog routes a query to the writer path.
 type SnapCol struct {
 	cur atomic.Pointer[colVersion]
 	ep  *Epoch
@@ -47,9 +54,11 @@ type SnapCol struct {
 	// of silently going unnoticed.
 	Poison bool
 
-	// limbo holds retired versions' dead pieces, tags ascending. Writer
-	// state: guarded by the owner's exclusive lock, like all write paths.
+	// limbo holds retired versions' dead pieces, tags ascending; gen
+	// numbers writer edits (see pieceTable). Writer state: guarded by the
+	// owner's exclusive lock, like all write paths.
 	limbo []retiredPieces
+	gen   uint64
 
 	published atomic.Uint64 // versions published
 	retired   atomic.Uint64 // versions retired into limbo
@@ -81,18 +90,16 @@ type snapPiece struct {
 	tail []Value
 }
 
-// colVersion is one immutable snapshot of the column. cuts[i] separates
-// pieces[i] (values on the bound's left) from pieces[i+1] (values at or
-// right of it), in ascending bound order; len(cuts) == len(pieces)-1.
+// colVersion is one immutable snapshot of the column: its piece table plus
+// the pending updates, both kept sorted by value (ties in arrival order),
+// so the lock-free read path finds the pendings relevant to a range
+// predicate with two binary searches instead of scanning the backlog. A
+// pending deletion carries the deleted tuple's value, which names the one
+// piece that holds the tuple.
 type colVersion struct {
-	id     uint64
-	pieces []*snapPiece
-	cuts   []crackindex.Bound
-	// pendIns is kept sorted by val (ties in arrival order), so the
-	// lock-free read path applies pending insertions to a range predicate
-	// with a binary search instead of scanning the whole backlog per read.
+	pieceTable
 	pendIns []pendingTuple
-	pendDel map[Value]bool
+	pendDel []pendingTuple
 }
 
 // retiredPieces is one limbo entry: the pieces replaced by the publish
@@ -104,7 +111,8 @@ type retiredPieces struct {
 
 // NewSnapCol creates the snapshot cracker column for base column col, with
 // the keys in dels (may be nil) queued as pending deletions — the engine
-// creates columns on demand after tombstones may already exist.
+// creates columns on demand after tombstones may already exist. Keys that
+// name no row of col are ignored.
 func NewSnapCol(col *store.Column, pol Policy, ep *Epoch, dels map[int]bool) *SnapCol {
 	n := col.Len()
 	head := make([]Value, n)
@@ -113,14 +121,17 @@ func NewSnapCol(col *store.Column, pol Policy, ep *Epoch, dels map[int]bool) *Sn
 	for i := range tail {
 		tail[i] = Value(i)
 	}
-	pendDel := make(map[Value]bool, len(dels))
+	var pendDel []pendingTuple
 	for k := range dels {
-		pendDel[Value(k)] = true
+		if k >= 0 && k < n {
+			pendDel = append(pendDel, pendingTuple{key: Value(k), val: col.Vals[k]})
+		}
 	}
+	sortPending(pendDel)
 	c := &SnapCol{ep: ep, Policy: pol}
-	c.cur.Store(&colVersion{
-		pieces:  []*snapPiece{{head: head, tail: tail}},
-		pendDel: pendDel,
+	c.store(&colVersion{
+		pieceTable: newPieceTable([]*snapPiece{{head: head, tail: tail}}, []crackindex.Bound{minBound}),
+		pendDel:    pendDel,
 	})
 	return c
 }
@@ -131,63 +142,106 @@ func NewSnapCol(col *store.Column, pol Policy, ep *Epoch, dels map[int]bool) *Sn
 func SnapColFromCol(src *Col, ep *Epoch) *SnapCol {
 	head := append([]Value(nil), src.P.Head...)
 	tail := append([]Value(nil), src.P.Tail...)
-	var cuts []crackindex.Bound
-	var poss []int
+	cuts := []crackindex.Bound{minBound}
+	poss := []int{0}
 	src.P.Idx.Walk(func(b crackindex.Bound, pos int) {
-		cuts = append(cuts, b)
-		poss = append(poss, pos)
+		if minBound.Less(b) { // minBound is already the first piece's cut
+			cuts = append(cuts, b)
+			poss = append(poss, pos)
+		}
 	})
-	pieces := make([]*snapPiece, 0, len(cuts)+1)
-	prev := 0
-	for _, pos := range poss {
-		pieces = append(pieces, &snapPiece{head: head[prev:pos:pos], tail: tail[prev:pos:pos]})
-		prev = pos
+	pieces := make([]*snapPiece, len(cuts))
+	for i, lo := range poss {
+		hi := len(head)
+		if i+1 < len(poss) {
+			hi = poss[i+1]
+		}
+		pieces[i] = &snapPiece{head: head[lo:hi:hi], tail: tail[lo:hi:hi]}
 	}
-	pieces = append(pieces, &snapPiece{head: head[prev:], tail: tail[prev:]})
 	pendIns := append([]pendingTuple(nil), src.pendIns...)
-	sort.SliceStable(pendIns, func(i, j int) bool { return pendIns[i].val < pendIns[j].val })
-	pendDel := make(map[Value]bool, len(src.pendDel))
-	for k := range src.pendDel {
-		pendDel[k] = true
+	sortPending(pendIns) // keys grow with arrival, so ties stay in arrival order
+	// A Col's pending deletions are keys only; each names a materialized
+	// tuple (Col.Delete cancels a pending insertion instead), whose value
+	// one pass over the column finds.
+	var pendDel []pendingTuple
+	if len(src.pendDel) > 0 {
+		for i, k := range tail {
+			if src.pendDel[k] {
+				pendDel = append(pendDel, pendingTuple{key: k, val: head[i]})
+			}
+		}
 	}
+	sortPending(pendDel)
 	c := &SnapCol{ep: ep, Policy: src.P.Policy}
-	c.cur.Store(&colVersion{pieces: pieces, cuts: cuts, pendIns: pendIns, pendDel: pendDel})
+	c.store(&colVersion{pieceTable: newPieceTable(pieces, cuts), pendIns: pendIns, pendDel: pendDel})
 	return c
 }
 
-// findCut returns the index of the cut equal to b, if present.
-func (v *colVersion) findCut(b crackindex.Bound) (int, bool) {
-	i := sort.Search(len(v.cuts), func(k int) bool { return !v.cuts[k].Less(b) })
-	if i < len(v.cuts) && v.cuts[i] == b {
-		return i, true
+// sortPending orders pendings built in bulk by value, then key.
+func sortPending(ts []pendingTuple) {
+	sort.Slice(ts, func(i, j int) bool {
+		if ts[i].val != ts[j].val {
+			return ts[i].val < ts[j].val
+		}
+		return ts[i].key < ts[j].key
+	})
+}
+
+// searchPend returns the index of the first pending tuple in value-sorted
+// ts that is not on the left of bound b.
+func searchPend(ts []pendingTuple, b crackindex.Bound) int {
+	lo, hi := 0, len(ts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if onLeft(ts[m].val, b) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return 0, false
+	return lo
 }
 
-// pieceOfVal returns the index of the piece a tuple with value val belongs
-// to: the piece left of the first cut whose left side val is on.
-func (v *colVersion) pieceOfVal(val Value) int {
-	return sort.Search(len(v.cuts), func(i int) bool { return onLeft(val, v.cuts[i]) })
-}
-
-// pieceOfBound returns the index of the piece a missing bound b falls into.
-func (v *colVersion) pieceOfBound(b crackindex.Bound) int {
-	return sort.Search(len(v.cuts), func(i int) bool { return b.Less(v.cuts[i]) })
-}
-
-// area returns the qualifying piece interval [i, j) for pred, ok only when
-// both bounds exist as cuts (the snapshot twin of Pairs.Area).
-func (v *colVersion) area(pred store.Pred) (i, j int, ok bool) {
-	li, ok1 := v.findCut(pred.LowerBound())
-	ui, ok2 := v.findCut(pred.UpperBound())
-	if !ok1 || !ok2 {
-		return 0, 0, false
-	}
-	i, j = li+1, ui+1
+// pendRange returns the run [i, j) of value-sorted ts whose values match
+// pred.
+func pendRange(ts []pendingTuple, pred store.Pred) (i, j int) {
+	i = searchPend(ts, pred.LowerBound())
+	j = searchPend(ts, pred.UpperBound())
 	if j < i {
-		j = i // empty predicate (hi < lo); normalize
+		j = i // empty predicate
 	}
-	return i, j, true
+	return i, j
+}
+
+// findPending returns the index of the pending tuple (key, val) in
+// value-sorted ts and true, or the index just past val's ties (where an
+// arrival is inserted) and false.
+func findPending(ts []pendingTuple, key, val Value) (int, bool) {
+	i := searchPend(ts, crackindex.Bound{V: val, Incl: true})
+	for ; i < len(ts) && ts[i].val == val; i++ {
+		if ts[i].key == key {
+			return i, true
+		}
+	}
+	return i, false
+}
+
+// withPending returns a copy of ts with t inserted at i.
+func withPending(ts []pendingTuple, i int, t pendingTuple) []pendingTuple {
+	out := make([]pendingTuple, 0, len(ts)+1)
+	out = append(out, ts[:i]...)
+	out = append(out, t)
+	return append(out, ts[i:]...)
+}
+
+// withoutPending returns a copy of ts without the run [i, j).
+func withoutPending(ts []pendingTuple, i, j int) []pendingTuple {
+	if len(ts) == j-i {
+		return nil
+	}
+	out := make([]pendingTuple, 0, len(ts)-(j-i))
+	out = append(out, ts[:i]...)
+	return append(out, ts[j:]...)
 }
 
 // GatherRO appends the keys of tuples matching pred to dst, reading one
@@ -198,58 +252,45 @@ func (v *colVersion) area(pred store.Pred) (i, j int, ok bool) {
 // the result — the pin is what keeps the version's pieces from being
 // reclaimed underneath it.
 // Pending insertions are applied virtually and pending deletions filtered,
-// so the answer equals the writer path's.
+// so the answer equals the writer path's. Both are found by binary search
+// on value; with no deletion in range, whole pieces are appended. A nil dst
+// is allocated once at the exact size.
 func (c *SnapCol) GatherRO(pred store.Pred, dst []Value) ([]Value, bool) {
 	v := c.cur.Load()
 	if len(v.pendIns) > snapMaxPend || len(v.pendDel) > snapMaxPend {
 		return dst, false
 	}
-	i, j, ok := v.area(pred)
+	lo, hi, ok := v.area(pred)
 	if !ok {
 		return dst, false
 	}
-	if len(v.pendDel) == 0 {
-		for _, pc := range v.pieces[i:j] {
-			dst = append(dst, pc.tail...)
-		}
-	} else {
-		for _, pc := range v.pieces[i:j] {
-			for _, k := range pc.tail {
-				if !v.pendDel[k] {
-					dst = append(dst, k)
-				}
-			}
-		}
-	}
+	var ins, del []pendingTuple
 	if len(v.pendIns) > 0 {
-		// pendIns is val-sorted: the matching entries are one contiguous run.
-		lo := sort.Search(len(v.pendIns), func(i int) bool {
-			if pred.LoIncl {
-				return v.pendIns[i].val >= pred.Lo
-			}
-			return v.pendIns[i].val > pred.Lo
-		})
-		for _, t := range v.pendIns[lo:] {
-			if t.val > pred.Hi || (t.val == pred.Hi && !pred.HiIncl) {
-				break
-			}
-			dst = append(dst, t.key)
-		}
+		i, j := pendRange(v.pendIns, pred)
+		ins = v.pendIns[i:j]
+	}
+	if len(v.pendDel) > 0 {
+		i, j := pendRange(v.pendDel, pred)
+		del = v.pendDel[i:j]
+	}
+	if dst == nil {
+		dst = make([]Value, 0, v.tuples(lo, hi)+len(ins))
+	}
+	dst = v.appendKeys(dst, lo, hi, del)
+	for _, t := range ins {
+		dst = append(dst, t.key)
 	}
 	return dst, true
 }
 
-// beginEdit starts a writer edit: a version whose piece table and cut list
-// are fresh copies safe to splice, while piece contents and pending
-// structures stay shared until an edit step copies them.
-func (v *colVersion) beginEdit() *colVersion {
-	return &colVersion{
-		id:      v.id + 1,
-		pieces:  append([]*snapPiece(nil), v.pieces...),
-		cuts:    append([]crackindex.Bound(nil), v.cuts...),
-		pendIns: v.pendIns,
-		pendDel: v.pendDel,
-	}
+// beginEdit starts a writer edit: a copy of the current version that
+// shares its piece table and pending lists. Edit steps copy the directory,
+// a chunk or a pending list only when they first change it.
+func (c *SnapCol) beginEdit() *colVersion {
+	w := *c.cur.Load()
+	c.gen++
+	w.gen, w.own, w.frozen = c.gen, false, false
+	return &w
 }
 
 // Select is the writer-path twin of Col.Select: it merges relevant pending
@@ -259,34 +300,19 @@ func (v *colVersion) beginEdit() *colVersion {
 // lock (one writer at a time); readers are never blocked and never see a
 // partial edit.
 func (c *SnapCol) Select(pred store.Pred) []Value {
-	old := c.cur.Load()
-	w := old.beginEdit()
+	w := c.beginEdit()
 	var dead []*snapPiece
-	changed := c.mergePend(w, &dead, pred, len(old.pendIns) > snapMaxPend)
+	changed := c.mergePend(w, &dead, pred, len(w.pendIns) > snapMaxPend)
 	changed = c.ensureCuts(w, &dead, pred) || changed
-	i, j, ok := w.area(pred)
+	lo, hi, ok := w.area(pred)
 	if !ok {
 		panic("crack: SnapCol area missing after crack")
 	}
-	lo, hi := i, j
-	if len(w.pendDel) > snapMaxPend {
-		lo, hi = 0, len(w.pieces)
-	}
-	changed = c.applyDel(w, &dead, lo, hi) || changed
+	changed = c.applyDel(w, &dead, pred, len(w.pendDel) > snapMaxPend) || changed
 	if changed {
 		c.publish(w, dead)
-	} else {
-		w = old // nothing moved: answer from the published version
 	}
-	n := 0
-	for _, pc := range w.pieces[i:j] {
-		n += len(pc.tail)
-	}
-	out := make([]Value, 0, n)
-	for _, pc := range w.pieces[i:j] {
-		out = append(out, pc.tail...)
-	}
-	return out
+	return w.appendKeys(make([]Value, 0, w.tuples(lo, hi)), lo, hi, nil)
 }
 
 // Insert queues (key, val) as a pending insertion in a new version,
@@ -294,14 +320,9 @@ func (c *SnapCol) Select(pred store.Pred) []Value {
 // snapMaxPend the whole backlog is merged into pieces. Writer path: caller
 // holds the owner's exclusive lock.
 func (c *SnapCol) Insert(key int, val Value) {
-	old := c.cur.Load()
-	w := old.beginEdit()
-	at := sort.Search(len(old.pendIns), func(i int) bool { return old.pendIns[i].val > val })
-	ni := make([]pendingTuple, 0, len(old.pendIns)+1)
-	ni = append(ni, old.pendIns[:at]...)
-	ni = append(ni, pendingTuple{key: Value(key), val: val})
-	ni = append(ni, old.pendIns[at:]...)
-	w.pendIns = ni
+	w := c.beginEdit()
+	at := searchPend(w.pendIns, crackindex.Bound{V: val, Incl: false}) // after val's ties
+	w.pendIns = withPending(w.pendIns, at, pendingTuple{key: Value(key), val: val})
 	var dead []*snapPiece
 	if len(w.pendIns) > snapMaxPend {
 		c.mergePend(w, &dead, store.Pred{}, true)
@@ -309,36 +330,28 @@ func (c *SnapCol) Insert(key int, val Value) {
 	c.publish(w, dead)
 }
 
-// Delete queues a pending deletion (or cancels a pending insertion) in a
-// new version. Writer path: caller holds the owner's exclusive lock.
-func (c *SnapCol) Delete(key int) {
-	old := c.cur.Load()
+// Delete queues a pending deletion of the tuple (key, val) — or cancels its
+// pending insertion — in a new version; when the backlog exceeds
+// snapMaxPend every pending deletion is applied. val must be the tuple's
+// value: it names the piece holding the tuple. Writer path: caller holds
+// the owner's exclusive lock.
+func (c *SnapCol) Delete(key int, val Value) {
 	k := Value(key)
-	for i, t := range old.pendIns {
-		if t.key == k {
-			// Still pending: cancel the insertion instead.
-			w := old.beginEdit()
-			ni := make([]pendingTuple, 0, len(old.pendIns)-1)
-			ni = append(ni, old.pendIns[:i]...)
-			ni = append(ni, old.pendIns[i+1:]...)
-			w.pendIns = ni
-			c.publish(w, nil)
-			return
-		}
-	}
-	if old.pendDel[k] {
+	w := c.beginEdit()
+	if i, ok := findPending(w.pendIns, k, val); ok {
+		// Still pending: cancel the insertion instead.
+		w.pendIns = withoutPending(w.pendIns, i, i+1)
+		c.publish(w, nil)
 		return
 	}
-	w := old.beginEdit()
-	nd := make(map[Value]bool, len(old.pendDel)+1)
-	for dk := range old.pendDel {
-		nd[dk] = true
+	at, ok := findPending(w.pendDel, k, val)
+	if ok {
+		return
 	}
-	nd[k] = true
-	w.pendDel = nd
+	w.pendDel = withPending(w.pendDel, at, pendingTuple{key: k, val: val})
 	var dead []*snapPiece
-	if len(nd) > snapMaxPend {
-		c.applyDel(w, &dead, 0, len(w.pieces))
+	if len(w.pendDel) > snapMaxPend {
+		c.applyDel(w, &dead, store.Pred{}, true)
 	}
 	c.publish(w, dead)
 }
@@ -346,39 +359,30 @@ func (c *SnapCol) Delete(key int) {
 // mergePend merges pending insertions matching pred (or all of them) into
 // copies of their target pieces, val order preserved per piece.
 func (c *SnapCol) mergePend(w *colVersion, dead *[]*snapPiece, pred store.Pred, all bool) bool {
-	if len(w.pendIns) == 0 {
+	i, j := 0, len(w.pendIns)
+	if !all {
+		i, j = pendRange(w.pendIns, pred)
+	}
+	if i == j {
 		return false
 	}
-	var take, rest []pendingTuple
-	for _, t := range w.pendIns {
-		if all || pred.Matches(t.val) {
-			take = append(take, t)
-		} else {
-			rest = append(rest, t)
-		}
-	}
-	if len(take) == 0 {
-		return false
-	}
-	w.pendIns = rest
-	byPiece := make(map[int][]pendingTuple)
-	for _, t := range take {
-		pi := w.pieceOfVal(t.val)
-		byPiece[pi] = append(byPiece[pi], t)
-	}
-	for pi, ts := range byPiece {
-		pc := w.pieces[pi]
+	take := w.pendIns[i:j]
+	w.pendIns = withoutPending(w.pendIns, i, j)
+	for len(take) > 0 {
+		p, e := w.pieceRun(take)
+		pc := w.piece(p)
 		n := len(pc.head)
-		head := make([]Value, n, n+len(ts))
-		tail := make([]Value, n, n+len(ts))
+		head := make([]Value, n, n+e)
+		tail := make([]Value, n, n+e)
 		copy(head, pc.head)
 		copy(tail, pc.tail)
-		for _, t := range ts {
+		for _, t := range take[:e] {
 			head = append(head, t.val)
 			tail = append(tail, t.key)
 		}
 		*dead = append(*dead, pc)
-		w.pieces[pi] = &snapPiece{head: head, tail: tail}
+		w.setPiece(p, &snapPiece{head: head, tail: tail})
+		take = take[e:]
 	}
 	return true
 }
@@ -389,31 +393,32 @@ func (c *SnapCol) mergePend(w *colVersion, dead *[]*snapPiece, pred store.Pred, 
 // Pairs.CrackRange.
 func (c *SnapCol) ensureCuts(w *colVersion, dead *[]*snapPiece, pred store.Pred) bool {
 	lb, ub := pred.LowerBound(), pred.UpperBound()
-	_, okL := w.findCut(lb)
-	_, okU := w.findCut(ub)
+	pl, okL := w.locate(lb)
+	pu, okU := w.locate(ub)
 	if okL && okU {
 		return false
 	}
-	if !okL && !okU && lb.Less(ub) && w.pieceOfBound(lb) == w.pieceOfBound(ub) {
-		c.crackPiece(w, dead, w.pieceOfBound(lb), func(tmp *Pairs) { tmp.CrackRange(pred) })
+	if !okL && !okU && lb.Less(ub) && pl == pu {
+		c.crackPiece(w, dead, pl, func(tmp *Pairs) { tmp.CrackRange(pred) })
 		return true
 	}
 	if !okL {
-		c.crackPiece(w, dead, w.pieceOfBound(lb), func(tmp *Pairs) { tmp.CrackBound(lb) })
+		c.crackPiece(w, dead, pl, func(tmp *Pairs) { tmp.CrackBound(lb) })
 	}
-	if _, ok := w.findCut(ub); !ok {
-		c.crackPiece(w, dead, w.pieceOfBound(ub), func(tmp *Pairs) { tmp.CrackBound(ub) })
+	if p, ok := w.locate(ub); !ok {
+		c.crackPiece(w, dead, p, func(tmp *Pairs) { tmp.CrackBound(ub) })
 	}
 	return true
 }
 
-// crackPiece copies piece pi, partitions the copy with the shared Pairs
-// kernels (crack applies c.Policy, so auxiliary pivots land here too), and
-// splices the resulting sub-pieces and cuts into w. The sub-pieces share
-// the copy's backing arrays over disjoint ranges; the replaced piece goes
-// to the dead list.
-func (c *SnapCol) crackPiece(w *colVersion, dead *[]*snapPiece, pi int, f func(tmp *Pairs)) {
-	pc := w.pieces[pi]
+// crackPiece copies the piece at p, partitions the copy with the shared
+// Pairs kernels (crack applies c.Policy, so auxiliary pivots land here
+// too), and splits the piece into the resulting sub-pieces and cuts. The
+// sub-pieces share the copy's backing arrays over disjoint ranges; the
+// replaced piece goes to the dead list.
+func (c *SnapCol) crackPiece(w *colVersion, dead *[]*snapPiece, p pos, f func(tmp *Pairs)) {
+	pc := w.piece(p)
+	left, right, hasRight := w.cutsOf(p)
 	head := append([]Value(nil), pc.head...)
 	tail := append([]Value(nil), pc.tail...)
 	tmp := WrapPairs(head, tail)
@@ -424,98 +429,70 @@ func (c *SnapCol) crackPiece(w *colVersion, dead *[]*snapPiece, pi int, f func(t
 	c.kern[2].Add(uint64(tmp.Stats.Visited))
 	c.kern[3].Add(uint64(tmp.Stats.Moved))
 	c.kern[4].Add(uint64(tmp.Stats.Aux))
-	type cutpos struct {
-		b   crackindex.Bound
-		pos int
-	}
-	var cps []cutpos
-	tmp.Idx.Walk(func(b crackindex.Bound, pos int) {
+	var subs []*snapPiece
+	var bs []crackindex.Bound
+	prev := 0
+	tmp.Idx.Walk(func(b crackindex.Bound, at int) {
 		// A policy pivot can coincide with the piece's delimiting cut;
 		// re-adding it would duplicate the cut around an empty sub-piece.
-		if pi > 0 && !w.cuts[pi-1].Less(b) {
+		if !left.Less(b) || (hasRight && !b.Less(right)) {
 			return
 		}
-		if pi < len(w.cuts) && !b.Less(w.cuts[pi]) {
-			return
-		}
-		cps = append(cps, cutpos{b, pos})
+		subs = append(subs, &snapPiece{head: head[prev:at:at], tail: tail[prev:at:at]})
+		bs = append(bs, b)
+		prev = at
 	})
-	subs := make([]*snapPiece, 0, len(cps)+1)
-	bs := make([]crackindex.Bound, 0, len(cps))
-	prev := 0
-	for _, cp := range cps {
-		subs = append(subs, &snapPiece{head: head[prev:cp.pos:cp.pos], tail: tail[prev:cp.pos:cp.pos]})
-		bs = append(bs, cp.b)
-		prev = cp.pos
-	}
 	subs = append(subs, &snapPiece{head: head[prev:], tail: tail[prev:]})
 	*dead = append(*dead, pc)
-	np := make([]*snapPiece, 0, len(w.pieces)+len(subs)-1)
-	np = append(np, w.pieces[:pi]...)
-	np = append(np, subs...)
-	np = append(np, w.pieces[pi+1:]...)
-	w.pieces = np
-	nc := make([]crackindex.Bound, 0, len(w.cuts)+len(bs))
-	nc = append(nc, w.cuts[:pi]...)
-	nc = append(nc, bs...)
-	nc = append(nc, w.cuts[pi:]...)
-	w.cuts = nc
+	w.split(p, subs, bs)
 }
 
-// applyDel removes tuples with pending deletions from pieces [lo, hi),
-// copying only affected pieces and consuming the matched entries from a
-// copy of the pending-deletion set (which also guards duplicate keys,
-// mirroring Col.applyPendingDeletes).
-func (c *SnapCol) applyDel(w *colVersion, dead *[]*snapPiece, lo, hi int) bool {
-	del := w.pendDel
-	if len(del) == 0 {
+// applyDel applies the pending deletions whose values match pred (or all
+// of them): it visits only the pieces holding those values, replaces each
+// with a copy that omits the deleted tuples, and drops the applied
+// deletions from the pending list.
+func (c *SnapCol) applyDel(w *colVersion, dead *[]*snapPiece, pred store.Pred, all bool) bool {
+	i, j := 0, len(w.pendDel)
+	if !all {
+		i, j = pendRange(w.pendDel, pred)
+	}
+	if i == j {
 		return false
 	}
-	var nd map[Value]bool
-	for pi := lo; pi < hi; pi++ {
-		pc := w.pieces[pi]
-		cnt := 0
-		for _, k := range pc.tail {
-			if del[k] {
-				cnt++
-			}
-		}
-		if cnt == 0 {
-			continue
-		}
-		if nd == nil {
-			nd = make(map[Value]bool, len(w.pendDel))
-			for k := range w.pendDel {
-				nd[k] = true
-			}
-			del = nd
-		}
-		n := len(pc.head)
-		head := make([]Value, 0, n-cnt)
-		tail := make([]Value, 0, n-cnt)
+	take := w.pendDel[i:j]
+	w.pendDel = withoutPending(w.pendDel, i, j)
+	// Every pending deletion names a tuple materialized in its piece
+	// (Delete cancels a pending insertion instead), so all of take goes.
+	for len(take) > 0 {
+		p, e := w.pieceRun(take)
+		pc := w.piece(p)
+		n := max(len(pc.head)-e, 0)
+		head := make([]Value, 0, n)
+		tail := make([]Value, 0, n)
 		for x, k := range pc.tail {
-			if nd[k] {
-				delete(nd, k)
-				continue
+			if _, gone := findPending(take[:e], k, pc.head[x]); !gone {
+				head = append(head, pc.head[x])
+				tail = append(tail, k)
 			}
-			head = append(head, pc.head[x])
-			tail = append(tail, k)
 		}
 		*dead = append(*dead, pc)
-		w.pieces[pi] = &snapPiece{head: head, tail: tail}
+		w.setPiece(p, &snapPiece{head: head, tail: tail})
+		take = take[e:]
 	}
-	if nd == nil {
-		return false
-	}
-	w.pendDel = nd
 	return true
+}
+
+// store publishes a version with no predecessor to retire.
+func (c *SnapCol) store(v *colVersion) {
+	v.frozen = true
+	c.cur.Store(v)
 }
 
 // publish swaps in the new version, retires the old one's replaced pieces
 // into limbo tagged with the advanced epoch, and reclaims every limbo entry
 // no live reader can still see.
 func (c *SnapCol) publish(w *colVersion, dead []*snapPiece) {
-	c.cur.Store(w)
+	c.store(w)
 	tag := c.ep.Advance()
 	c.limbo = append(c.limbo, retiredPieces{tag: tag, dead: dead})
 	c.published.Add(1)
@@ -555,16 +532,23 @@ func (c *SnapCol) tryReclaim() {
 // Len returns the number of tuples materialized in pieces (excluding
 // pending insertions), like Col.Len.
 func (c *SnapCol) Len() int {
-	v := c.cur.Load()
 	n := 0
-	for _, pc := range v.pieces {
-		n += len(pc.head)
+	for _, ch := range c.cur.Load().chunks {
+		for _, pc := range ch.pieces {
+			n += len(pc.head)
+		}
 	}
 	return n
 }
 
 // Pieces returns the number of pieces in the current version.
-func (c *SnapCol) Pieces() int { return len(c.cur.Load().pieces) }
+func (c *SnapCol) Pieces() int {
+	n := 0
+	for _, ch := range c.cur.Load().chunks {
+		n += len(ch.pieces)
+	}
+	return n
+}
 
 // PendingInsertions returns the number of insertions not yet merged.
 func (c *SnapCol) PendingInsertions() int { return len(c.cur.Load().pendIns) }
@@ -605,31 +589,45 @@ func (c *SnapCol) Stats() SnapStats {
 	return s
 }
 
-// CheckVersion verifies the current version's piece invariant (every value
-// sits between its piece's delimiting cuts) and cut ordering; the snapshot
-// twin of Pairs.CheckPieces, used by tests.
+// CheckVersion verifies the current version, the snapshot twin of
+// Pairs.CheckPieces used by tests: the piece table's directory and cut
+// order, the piece invariant (every value sits between its piece's cuts),
+// that both pending lists are value-sorted, and that each pending deletion
+// (key, val) is unique and names a tuple with value val in its piece.
 func (c *SnapCol) CheckVersion() bool {
 	v := c.cur.Load()
-	if len(v.cuts) != len(v.pieces)-1 {
+	if !v.frozen || !v.checkTable() {
 		return false
 	}
-	for i := 1; i < len(v.cuts); i++ {
-		if !v.cuts[i-1].Less(v.cuts[i]) {
+	for ci, ch := range v.chunks {
+		for k, pc := range ch.pieces {
+			left, right, hasRight := v.cutsOf(pos{ci, k})
+			for _, val := range pc.head {
+				if onLeft(val, left) || (hasRight && !onLeft(val, right)) {
+					return false
+				}
+			}
+		}
+	}
+	for _, ts := range [][]pendingTuple{v.pendIns, v.pendDel} {
+		for i := 1; i < len(ts); i++ {
+			if ts[i].val < ts[i-1].val {
+				return false
+			}
+		}
+	}
+	seen := make(map[Value]bool, len(v.pendDel))
+	for _, d := range v.pendDel {
+		if seen[d.key] {
 			return false
 		}
-	}
-	for pi, pc := range v.pieces {
-		for _, val := range pc.head {
-			if pi > 0 && onLeft(val, v.cuts[pi-1]) {
-				return false
-			}
-			if pi < len(v.cuts) && !onLeft(val, v.cuts[pi]) {
-				return false
-			}
+		seen[d.key] = true
+		pc := v.piece(v.locateVal(d.val))
+		found := false
+		for x, k := range pc.tail {
+			found = found || (k == d.key && pc.head[x] == d.val)
 		}
-	}
-	for i := 1; i < len(v.pendIns); i++ {
-		if v.pendIns[i].val < v.pendIns[i-1].val {
+		if !found {
 			return false
 		}
 	}

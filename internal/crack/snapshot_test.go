@@ -1,7 +1,10 @@
 package crack
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,44 +41,178 @@ func snapSelect(c *SnapCol, ep *Epoch, pred store.Pred) []Value {
 	return c.Select(pred)
 }
 
+// TestSnapColModelEquivalence replays inserts, deletes and range selects
+// against a brute-force model, checking the version after every step. The
+// chunked case grows past 5,000 pieces, so the piece table splits chunks
+// (64 pieces each) many times; it re-asks earlier predicates too, so warm
+// reads filter pending updates inside their range.
 func TestSnapColModelEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const domain = 500
-	c, ep, m := newTestSnapCol(rng, 1000, domain)
-	nextKey := 1000
-	for q := 0; q < 400; q++ {
-		switch rng.Intn(10) {
-		case 0: // insert
-			v := Value(rng.Int63n(domain))
-			c.Insert(nextKey, v)
-			m.vals[nextKey] = v
-			nextKey++
-		case 1: // delete a random live key
-			for k := range m.vals {
-				c.Delete(k)
-				delete(m.vals, k)
-				break
-			}
-		default:
-			pred := randPred(rng, domain)
-			got := sortedKeys(snapSelect(c, ep, pred))
-			want := m.selectKeys(pred)
-			if len(got) != len(want) {
-				t.Fatalf("query %d %v: got %d keys, want %d", q, pred, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("query %d %v: key mismatch at %d: %d vs %d", q, pred, i, got[i], want[i])
+	for _, tc := range []struct {
+		name      string
+		seed      int64
+		n, ops    int
+		domain    int64
+		width     int64 // predicate width bound; 0 draws anywhere in the domain
+		minPieces int
+	}{
+		{name: "small", seed: 11, n: 1000, ops: 400, domain: 500, minPieces: 2},
+		{name: "chunked", seed: 12, n: 4000, ops: 6000, domain: 1 << 20, width: 1 << 10, minPieces: 5000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			c, ep, m := newTestSnapCol(rng, tc.n, tc.domain)
+			nextKey := tc.n
+			var asked []store.Pred
+			for q := 0; q < tc.ops; q++ {
+				switch rng.Intn(10) {
+				case 0: // insert
+					v := Value(rng.Int63n(tc.domain))
+					c.Insert(nextKey, v)
+					m.vals[nextKey] = v
+					nextKey++
+				case 1: // delete a random live key
+					for k, v := range m.vals {
+						c.Delete(k, v)
+						delete(m.vals, k)
+						break
+					}
+				default:
+					var pred store.Pred
+					switch {
+					case tc.width == 0:
+						pred = randPred(rng, tc.domain)
+					case len(asked) > 0 && rng.Intn(3) == 0:
+						pred = asked[rng.Intn(len(asked))]
+					default:
+						lo := rng.Int63n(tc.domain)
+						pred = store.Pred{Lo: lo, Hi: lo + rng.Int63n(tc.width), LoIncl: rng.Intn(2) == 0, HiIncl: rng.Intn(2) == 0}
+						asked = append(asked, pred)
+					}
+					got := sortedKeys(snapSelect(c, ep, pred))
+					want := m.selectKeys(pred)
+					if len(got) != len(want) {
+						t.Fatalf("query %d %v: got %d keys, want %d", q, pred, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("query %d %v: key mismatch at %d: %d vs %d", q, pred, i, got[i], want[i])
+						}
+					}
+				}
+				if !c.CheckVersion() {
+					t.Fatalf("op %d: version violates the piece invariant", q)
 				}
 			}
-		}
-		if !c.CheckVersion() {
-			t.Fatalf("op %d: version violates the piece invariant", q)
+			if c.Pieces() < tc.minPieces {
+				t.Fatalf("workload cracked only %d pieces, want >= %d", c.Pieces(), tc.minPieces)
+			}
+		})
+	}
+}
+
+// crackedSnapCol returns a SnapCol over n uniform values converted from a
+// Col cracked by narrow range selects until it has at least pieces pieces,
+// plus the base values (key i has value vals[i]).
+func crackedSnapCol(tb testing.TB, n, pieces int) (*SnapCol, []Value) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(29))
+	vals := make([]Value, n)
+	for i := range vals {
+		vals[i] = Value(rng.Int63n(int64(n) * 16))
+	}
+	col := NewCol(store.NewColumn("A", vals))
+	for col.P.Idx.Pieces() < pieces {
+		lo := rng.Int63n(int64(n) * 16)
+		col.Select(store.Range(lo, lo+64))
+	}
+	return SnapColFromCol(col, NewEpoch()), vals
+}
+
+// allocated returns the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestSnapColWriteCostIndependentOfPieces: an edit copies what it changes,
+// not the piece table. On a column of 10,000+ pieces a pending-only
+// Insert or Delete allocates a few hundred bytes (the version and its
+// pending list), and a crack allocates the cracked piece's copy plus the
+// chunk directory and one chunk, far below a whole-table copy (24 B a
+// piece).
+func TestSnapColWriteCostIndependentOfPieces(t *testing.T) {
+	const n = 200_000
+	c, vals := crackedSnapCol(t, n, 10_000)
+	if p := c.Pieces(); p < 10_000 || p > 11_000 {
+		t.Fatalf("setup built %d pieces, want 10,000..11,000", p)
+	}
+	ins := allocated(func() { c.Insert(n, 7) })
+	del := allocated(func() { c.Delete(5, vals[5]) })
+	if ins >= 4<<10 || del >= 4<<10 {
+		t.Errorf("pending-only Insert allocated %d B and Delete %d B, want < 4 KiB each", ins, del)
+	}
+	// Crack the largest pieces at the value of their first tuple; the
+	// point predicates avoid both pending values, so Select only cracks.
+	// The first crack sizes the kernel's pooled scratch. The race detector
+	// drops pooled items at random, so the bound applies to the best of
+	// the measured cracks.
+	v := c.cur.Load()
+	var big []*snapPiece
+	for _, ch := range v.chunks {
+		for _, pc := range ch.pieces {
+			if len(pc.head) > 1 && pc.head[0] != 7 && pc.head[0] != vals[5] {
+				big = append(big, pc)
+			}
 		}
 	}
-	if c.Pieces() < 2 {
-		t.Fatalf("workload never cracked: %d pieces", c.Pieces())
+	sort.Slice(big, func(i, j int) bool { return len(big[i].head) > len(big[j].head) })
+	point := func(pc *snapPiece) store.Pred {
+		return store.Pred{Lo: pc.head[0], Hi: pc.head[0], LoIncl: true, HiIncl: true}
 	}
+	c.Select(point(big[0]))
+	best := uint64(math.MaxUint64)
+	for _, pc := range big[1:9] {
+		pred := point(pc)
+		if _, _, ok := c.cur.Load().area(pred); ok {
+			t.Fatalf("%v already has both cuts", pred)
+		}
+		before := c.Pieces()
+		extra := allocated(func() { c.Select(pred) }) - uint64(16*len(pc.head))
+		if c.Pieces() <= before || !c.CheckVersion() {
+			t.Fatalf("Select(%v) did not crack cleanly: %d -> %d pieces", pred, before, c.Pieces())
+		}
+		best = min(best, extra)
+	}
+	t.Logf("%d pieces: Insert %d B, Delete %d B, crack %d B beyond the piece", c.Pieces(), ins, del, best)
+	if best >= 8<<10 {
+		t.Errorf("a crack allocated %d B beyond the cracked piece's bytes, want < 8 KiB", best)
+	}
+}
+
+// BenchmarkSnapColWrite times SnapCol writes on a column of 10,000+
+// pieces: a pending-only insert and its cancelling delete, and a crack of
+// a fresh narrow range.
+func BenchmarkSnapColWrite(b *testing.B) {
+	const n = 200_000
+	c, _ := crackedSnapCol(b, n, 10_000)
+	b.Run("insert+delete", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Insert(n, Value(i))
+			c.Delete(n, Value(i))
+		}
+	})
+	b.Run("crack", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(31))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo := rng.Int63n(n * 16)
+			c.Select(store.Range(lo, lo+64))
+		}
+	})
 }
 
 func TestSnapColGatherROAppliesPending(t *testing.T) {
@@ -84,7 +221,7 @@ func TestSnapColGatherROAppliesPending(t *testing.T) {
 	pred := store.Range(15, 45)
 	c.Select(pred) // establish the cuts
 	c.Insert(4, 25)
-	c.Delete(1) // key 1 (value 20) is materialized: a pending deletion
+	c.Delete(1, 20) // key 1 (value 20) is materialized: a pending deletion
 	keys, ok := func() ([]Value, bool) {
 		pin := ep.Enter()
 		defer ep.Exit(pin)
@@ -248,10 +385,12 @@ func TestSnapColPoisonCatchesUseAfterReclaim(t *testing.T) {
 		defer ep.Exit(pin)
 		v := c.cur.Load()
 		c.Select(store.Range(100, 900)) // cracks: retires the single piece
-		for _, pc := range v.pieces {
-			for _, val := range pc.head {
-				if val == poisonValue {
-					t.Fatal("pinned reader's version was poisoned")
+		for _, ch := range v.chunks {
+			for _, pc := range ch.pieces {
+				for _, val := range pc.head {
+					if val == poisonValue {
+						t.Fatal("pinned reader's version was poisoned")
+					}
 				}
 			}
 		}
@@ -263,10 +402,12 @@ func TestSnapColPoisonCatchesUseAfterReclaim(t *testing.T) {
 	c.Select(store.Range(200, 300))
 	c.Select(store.Range(400, 500))
 	poisoned := false
-	for _, pc := range stale.pieces {
-		for _, val := range pc.head {
-			if val == poisonValue {
-				poisoned = true
+	for _, ch := range stale.chunks {
+		for _, pc := range ch.pieces {
+			for _, val := range pc.head {
+				if val == poisonValue {
+					poisoned = true
+				}
 			}
 		}
 	}
@@ -280,7 +421,7 @@ func TestSnapColPoisonCatchesUseAfterReclaim(t *testing.T) {
 func TestSnapColConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const domain = 2000
-	c, ep, _ := newTestSnapCol(rng, 4000, domain)
+	c, ep, m := newTestSnapCol(rng, 4000, domain)
 	c.Poison = true // make premature reclamation corrupt answers observably
 
 	var stop atomic.Bool
@@ -323,10 +464,17 @@ func TestSnapColConcurrentReaders(t *testing.T) {
 		mu.Lock()
 		switch writerRng.Intn(4) {
 		case 0:
-			c.Insert(nextKey, Value(writerRng.Int63n(domain)))
+			v := Value(writerRng.Int63n(domain))
+			c.Insert(nextKey, v)
+			m.vals[nextKey] = v
 			nextKey++
 		case 1:
-			c.Delete(writerRng.Intn(nextKey))
+			// A deletion names a live tuple with its value.
+			k := writerRng.Intn(nextKey)
+			if v, ok := m.vals[k]; ok {
+				c.Delete(k, v)
+				delete(m.vals, k)
+			}
 		default:
 			c.Select(randPred(writerRng, domain))
 		}

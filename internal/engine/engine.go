@@ -230,9 +230,20 @@ func (e *scanEngine) Insert(vals ...Value) int {
 	return e.rel.NumRows() - 1
 }
 
-func (e *scanEngine) Delete(key int)                        { e.dead[key] = true }
+func (e *scanEngine) Delete(key int) {
+	if hasRow(e.rel, key) {
+		e.dead[key] = true
+	}
+}
+
 func (e *scanEngine) Prepare(attrs ...string) time.Duration { return 0 }
 func (e *scanEngine) Storage() int                          { return 0 }
+
+// hasRow reports whether key names a row of rel. Every engine treats a
+// delete of any other key as a no-op: a tombstone for it would only wait
+// for a row that may be inserted later, and the cracking engines would keep
+// a pending deletion that no merge can ever consume.
+func hasRow(rel *store.Relation, key int) bool { return key >= 0 && key < rel.NumRows() }
 
 // selectKeys returns the ordered keys matching the query's predicates.
 func (e *scanEngine) selectKeys(preds []AttrPred, disjunctive bool) []int {
@@ -371,7 +382,7 @@ func (e *selCrackEngine) Insert(vals ...Value) int {
 }
 
 func (e *selCrackEngine) Delete(key int) {
-	if e.dead[key] {
+	if !hasRow(e.rel, key) || e.dead[key] {
 		return
 	}
 	e.dead[key] = true
@@ -598,7 +609,7 @@ func (e *presortEngine) Insert(vals ...Value) int {
 }
 
 func (e *presortEngine) Delete(key int) {
-	if e.dead[key] {
+	if !hasRow(e.ps.Relation(), key) || e.dead[key] {
 		return
 	}
 	// There is no efficient way to maintain presorted copies under updates

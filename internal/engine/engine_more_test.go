@@ -35,6 +35,65 @@ func TestNamesAndNoopPrepare(t *testing.T) {
 	}
 }
 
+// TestAbsentKeyDeleteIsNoop: deletes of keys that name no row change
+// nothing on any writable engine. Answers stay the same, a query that
+// QueryRO answered before 200 such deletes it still answers after them,
+// and a row inserted later under one of those keys is live.
+func TestAbsentKeyDeleteIsNoop(t *testing.T) {
+	const rows = 1000
+	rel := buildRel(rand.New(rand.NewSource(3)), rows, []string{"A", "B"}, 500)
+	q := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Range(100, 200)}}, Projs: []string{"B"}}
+	engines := map[string]Engine{"snapshot": Snapshot(New(SelCrack, cloneRel(rel)))}
+	for _, k := range allKinds() {
+		engines[k.String()] = New(k, cloneRel(rel))
+	}
+	same := func(res Result, want []string) bool {
+		got := canonRows(res, q.Projs)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for name, e := range engines {
+		t.Run(name, func(t *testing.T) {
+			res, _ := e.Query(q)
+			want := canonRows(res, q.Projs)
+			_, _, roBefore := e.QueryRO(q)
+			if name == "snapshot" && !roBefore {
+				t.Fatal("QueryRO refused a warm query")
+			}
+			for i := 0; i < 200; i++ {
+				if i%2 == 0 {
+					e.Delete(rows + 37*i)
+				} else {
+					e.Delete(-i)
+				}
+			}
+			if roBefore {
+				res, _, ok := e.QueryRO(q)
+				if !ok || !same(res, want) {
+					t.Fatalf("QueryRO after absent-key deletes: ok=%v, %d rows, want %d", ok, res.N, len(want))
+				}
+			}
+			if res, _ := e.Query(q); !same(res, want) {
+				t.Fatalf("Query after absent-key deletes: %d rows, want %d", res.N, len(want))
+			}
+			// Key rows was deleted while it named no row.
+			if key := e.Insert(150, 7); key != rows {
+				t.Fatalf("Insert returned key %d, want %d", key, rows)
+			}
+			if res, _ := e.Query(q); res.N != len(want)+1 {
+				t.Fatalf("row inserted under a once-deleted absent key: %d rows, want %d", res.N, len(want)+1)
+			}
+		})
+	}
+}
+
 func TestRowStoreEngineAgreesWithScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rel := buildRel(rng, 300, []string{"A", "B", "C"}, 50)

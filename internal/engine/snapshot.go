@@ -148,12 +148,12 @@ func (e *snapEngine) Insert(vals ...Value) int {
 func (e *snapEngine) Delete(key int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.dead[key] {
+	if !hasRow(e.rel, key) || e.dead[key] {
 		return
 	}
 	e.dead[key] = true
-	for _, c := range *e.cols.Load() {
-		c.Delete(key)
+	for attr, c := range *e.cols.Load() {
+		c.Delete(key, e.rel.MustColumn(attr).Vals[key])
 	}
 }
 

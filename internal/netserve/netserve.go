@@ -102,12 +102,6 @@ func (o Options) withDefaults() Options {
 	if o.DedupWindow <= 0 {
 		o.DedupWindow = 4096
 	}
-	if o.Serve.LatencyWindow <= 0 {
-		// A network server is long-running by nature: without a window the
-		// latency history grows ~8 bytes per query forever. 2^20 samples
-		// (~8 MB) keeps percentiles meaningful at any realistic rate.
-		o.Serve.LatencyWindow = 1 << 20
-	}
 	if o.Metrics != nil && o.Serve.Metrics == nil {
 		o.Serve.Metrics = o.Metrics
 	}

@@ -225,9 +225,10 @@ func (s *Store) Insert(vals ...Value) int {
 	return key
 }
 
-// Delete tombstones the tuple with the given key.
+// Delete tombstones the tuple with the given key. A key that names no row
+// is a no-op: a pending deletion for it could never be merged.
 func (s *Store) Delete(key int) {
-	if s.tombstones[key] {
+	if key < 0 || key >= s.rel.NumRows() || s.tombstones[key] {
 		return
 	}
 	s.tombstones[key] = true

@@ -76,16 +76,22 @@ type Options struct {
 	// LatencyWindow bounds the retained per-query latency samples: once
 	// full, the oldest samples are overwritten, so percentiles describe a
 	// sliding window of recent queries while Queries and QPS still count
-	// everything. 0 keeps every sample — right for bounded benchmark runs
-	// that export full series, fatal for a long-running daemon (a server
-	// at ~50k q/s would otherwise leak ~0.4 MB/s of history forever);
-	// netserve sets a window by default.
+	// everything. 0 selects a window of 1 << 16 samples. A bounded
+	// benchmark run that exports its full series passes its query count.
 	LatencyWindow int
 }
+
+// defaultLatencyWindow is the latency history a server keeps when
+// Options.LatencyWindow is 0: 8 B per sample, 512 KiB in all. Without a
+// bound a server at ~50k q/s would grow its history ~0.4 MB/s forever.
+const defaultLatencyWindow = 1 << 16
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
+	}
+	if o.LatencyWindow <= 0 {
+		o.LatencyWindow = defaultLatencyWindow
 	}
 	return o
 }
@@ -591,9 +597,9 @@ type Stats struct {
 	// upward, so a reported tail percentile is never below the true one.
 	P50, P95, P99, Max time.Duration
 
-	// Latencies holds the captured per-query latencies in completion
-	// order (a copy; safe to keep) — every sample, or the retained window
-	// when Options.LatencyWindow bounds it.
+	// Latencies holds the retained per-query latencies (the most recent
+	// Options.LatencyWindow of them) in completion order (a copy; safe to
+	// keep).
 	Latencies []time.Duration
 
 	// Reader-wait observability, from the shared engine wrapper when it
@@ -605,9 +611,9 @@ type Stats struct {
 	ReaderWaits int64
 }
 
-// Stats captures a consistent snapshot of the server's counters. With
-// LatencyWindow set, the percentiles (and Latencies) describe the most
-// recent window while Queries and QPS count every completed query.
+// Stats captures a consistent snapshot of the server's counters. The
+// percentiles (and Latencies) describe the most recent LatencyWindow
+// queries while Queries and QPS count every completed query.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	lats := append([]time.Duration(nil), s.lats...)

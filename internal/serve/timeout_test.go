@@ -172,6 +172,27 @@ func TestLatencyWindowBoundsHistory(t *testing.T) {
 	}
 }
 
+// TestDefaultLatencyWindow: a server built with default options keeps a
+// bounded history too, so an in-process server does not grow 8 B per query
+// forever; Queries still counts every query.
+func TestDefaultLatencyWindow(t *testing.T) {
+	srv := New(&gatedEngine{}, Options{Workers: 1})
+	defer srv.Close()
+	const extra = 100
+	for i := 0; i < defaultLatencyWindow+extra; i++ {
+		if _, _, err := srv.Do(slowQuery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := srv.Stats()
+	if st.Queries != defaultLatencyWindow+extra {
+		t.Fatalf("Queries = %d, want %d", st.Queries, defaultLatencyWindow+extra)
+	}
+	if len(st.Latencies) != defaultLatencyWindow {
+		t.Fatalf("retained %d samples, want the default %d-sample window", len(st.Latencies), defaultLatencyWindow)
+	}
+}
+
 // TestNoTimeoutFastQueries: with a deadline comfortably above the execution
 // time nothing times out and results flow normally.
 func TestNoTimeoutFastQueries(t *testing.T) {

@@ -20,6 +20,7 @@ package sideways
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -193,9 +194,10 @@ func (s *Store) Insert(vals ...Value) int {
 }
 
 // Delete tombstones the tuple with the given key and registers a pending
-// deletion with every existing map set.
+// deletion with every existing map set. A key that names no row is a
+// no-op: a pending deletion for it could never be merged.
 func (s *Store) Delete(key int) {
-	if s.tombstones[key] {
+	if key < 0 || key >= s.rel.NumRows() || s.tombstones[key] {
 		return
 	}
 	s.tombstones[key] = true
@@ -504,9 +506,7 @@ func (s *Store) SelectProject(selAttr string, pred store.Pred, projs []string) R
 	lo, hi, used := set.Query(pred, projs)
 	res := Result{Cols: make(map[string][]Value, len(projs)), N: hi - lo}
 	for i, attr := range projs {
-		out := make([]Value, hi-lo)
-		copy(out, used[i].pairs.Tail[lo:hi])
-		res.Cols[attr] = out
+		res.Cols[attr] = slices.Clone(used[i].pairs.Tail[lo:hi])
 	}
 	return res
 }
@@ -613,9 +613,7 @@ func conjunctiveResult(lo, hi int, used []*Map, tailOf map[string]int, others []
 	if bv == nil {
 		res.N = hi - lo
 		for _, attr := range projs {
-			out := make([]Value, hi-lo)
-			copy(out, used[tailOf[attr]].pairs.Tail[lo:hi])
-			res.Cols[attr] = out
+			res.Cols[attr] = slices.Clone(used[tailOf[attr]].pairs.Tail[lo:hi])
 		}
 		return res
 	}
@@ -749,9 +747,7 @@ func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool
 			return Result{}, false
 		}
 		atomic.AddInt64(&m.access, 1)
-		out := make([]Value, hi-lo)
-		copy(out, m.pairs.Tail[lo:hi])
-		return Result{Cols: map[string][]Value{projs[0]: out}, N: hi - lo}, true
+		return Result{Cols: map[string][]Value{projs[0]: slices.Clone(m.pairs.Tail[lo:hi])}, N: hi - lo}, true
 	}
 	plan, ok := s.planRO(preds, projs, disjunctive)
 	if !ok {
