@@ -94,21 +94,6 @@ func (t *pieceTable) locateVal(v Value) pos {
 	return p
 }
 
-// locateAfter is locate for a bound b after the left cut of the piece at
-// from. A narrow range's upper bound usually lies a few pieces on in the
-// same chunk, so within the chunk it walks there instead of searching.
-func (t *pieceTable) locateAfter(from pos, b crackindex.Bound) (pos, bool) {
-	if from.c+1 < len(t.lead) && !b.Less(t.lead[from.c+1]) {
-		return t.locate(b)
-	}
-	cuts := t.chunks[from.c].cuts
-	k := from.k
-	for k+1 < len(cuts) && !b.Less(cuts[k+1]) {
-		k++
-	}
-	return pos{from.c, k}, cuts[k] == b
-}
-
 // pieceRun returns the piece holding the value-sorted pending tuples' first
 // value and how many of them, from the first on, that piece holds.
 func (t *pieceTable) pieceRun(ts []pendingTuple) (pos, int) {
@@ -125,17 +110,13 @@ func (t *pieceTable) pieceRun(ts []pendingTuple) (pos, int) {
 func (t *pieceTable) area(pred store.Pred) (lo, hi pos, ok bool) {
 	lb, ub := pred.LowerBound(), pred.UpperBound()
 	lo, okL := t.locate(lb)
-	if !okL {
-		return pos{}, pos{}, false
-	}
+	hi, okU := t.locate(ub)
 	if !lb.Less(ub) {
 		// Empty predicate: the area is empty, but as on any miss the
-		// writer path first makes ub a cut.
-		_, okU := t.locate(ub)
-		return lo, lo, okU
+		// writer path first makes both bounds cuts.
+		hi = lo
 	}
-	hi, okU := t.locateAfter(lo, ub)
-	return lo, hi, okU
+	return lo, hi, okL && okU
 }
 
 // run returns chunk c's pieces inside [lo, hi); lo.c <= c <= hi.c.

@@ -187,6 +187,11 @@ func (s *rwEngine) Delete(key int) {
 func (s *rwEngine) deleteLocked(key int) walAck {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.dur != nil && !hasRow(s.dur.rel, key) {
+		// A no-op in every engine; a logged tombstone would outlive it and
+		// kill the row a later insert puts under this key.
+		return walAck{}
+	}
 	ack, ok := s.dur.logDelete(key)
 	if !ok {
 		return walAck{}

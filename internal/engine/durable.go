@@ -242,8 +242,10 @@ func (d *durable) applyReplay(e Engine, cpSeq uint64, rec wal.Record) error {
 		d.open.ReplayedRecords++
 	case wal.RecDelete:
 		for _, k := range rec.Keys {
-			e.Delete(k)
-			d.dead = append(d.dead, k)
+			if hasRow(d.rel, k) {
+				e.Delete(k)
+				d.dead = append(d.dead, k)
+			}
 		}
 		d.open.ReplayedRecords++
 	case wal.RecCrack:

@@ -362,6 +362,57 @@ func TestDurableWarmRestart(t *testing.T) {
 	}
 }
 
+// TestDurableAbsentKeyDelete: a delete of a key that names no row leaves
+// no tombstone behind. A row later inserted under that key is live before
+// a restart, after recovery from a crash image (WAL replay), and after
+// recovery from the checkpoint a clean close writes.
+func TestDurableAbsentKeyDelete(t *testing.T) {
+	for _, kind := range []Kind{SelCrack, Sideways, PartialSideways} {
+		t.Run(kind.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := DurableOptions{Sync: wal.SyncAlways, CheckpointBytes: -1}
+			e, err := OpenDurable(kind, durSeedRel(), dir, opts)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			const key = 60 // durSeedRel has 60 rows
+			e.Delete(key)
+			e.Delete(-1)
+			s := durSentinelBase
+			if got := e.Insert(s, 1, 2); got != key {
+				t.Fatalf("Insert returned key %d, want %d", got, key)
+			}
+			point := Query{Preds: []AttrPred{{Attr: "A", Pred: store.Point(s)}}, Projs: []string{"A"}}
+			live := func(tag string, e Engine) {
+				t.Helper()
+				if res, _ := e.Query(point); res.N != 1 {
+					t.Fatalf("%s: row %d: N=%d want 1", tag, key, res.N)
+				}
+			}
+			live("before restart", e)
+
+			crashDir := filepath.Join(t.TempDir(), "crash")
+			copyDurDir(t, dir, crashDir)
+			rec, err := OpenDurable(kind, nil, crashDir, opts)
+			if err != nil {
+				t.Fatalf("recover crash image: %v", err)
+			}
+			live("after WAL replay", rec)
+			CloseDurable(rec)
+
+			if ok, err := CloseDurable(e); !ok || err != nil {
+				t.Fatalf("close: ok=%v err=%v", ok, err)
+			}
+			re, err := OpenDurable(kind, nil, dir, opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			live("after checkpoint recovery", re)
+			CloseDurable(re)
+		})
+	}
+}
+
 func TestDurableRecoverMissingSegment(t *testing.T) {
 	// Crash window in the fresh-open sequence: checkpoint written, segment
 	// never created. Recovery must treat it as an empty segment.
