@@ -44,7 +44,11 @@
 // microbenchmarks). All fast paths are deterministic pure functions of
 // (piece contents, operation), which preserves the alignment invariant
 // sideways cracking depends on: maps that replay the same cracker tape
-// stay physically identical.
+// stay physically identical. Sideways cracking exploits that invariant
+// directly: maps of a set at the same tape cursor replay a crack together,
+// with one classification pass over the first map's head whose swaps and
+// rotations are then applied to every map's head and tail, so a query
+// projecting B and C classifies the head of A once, not twice.
 //
 // # Adaptive cracking policies
 //

@@ -28,6 +28,13 @@
 // operation sequence, so the choice is deterministic across aligned maps
 // and the alignment invariant is preserved.
 //
+// Maps of one sideways set that replay the same operation sequence hold the
+// same head in the same order, so they need not classify it separately:
+// CrackRange(pred, peers...) classifies the leader's head once and mirrors
+// every move it makes (swaps, rotations, auxiliary policy pivots, index
+// boundaries) onto each peer's head, tail and index. Each peer ends up
+// byte-identical to cracking it alone; with no peers it is the plain crack.
+//
 // Updates use the Ripple algorithm. RippleInsert merges one pending tuple;
 // RippleInsertBatch merges many in a single pass (one index walk, one bulk
 // boundary shift) and is defined to produce exactly the layout that
@@ -65,6 +72,13 @@ type Value = store.Value
 // range crack classifies each tuple once and that crack-in-three moves no
 // more tuples than two crack-in-twos; benchmarks use it for work
 // accounting.
+//
+// A crack shared with peers (CrackRange) is counted where the work is done:
+// the leader counts the partition passes and classified tuples (InTwo,
+// InThree, Visited) plus its own Moved and Aux, exactly as if it cracked
+// alone; each peer counts only what changed in it, Moved and Aux. Summed
+// over a map set, Moved and Aux therefore match independent cracking while
+// InTwo, InThree and Visited count each classification once.
 type KernelStats struct {
 	InTwo   int // crack-in-two partition passes
 	InThree int // crack-in-three partitions (both bounds in one pass)
@@ -135,6 +149,12 @@ func (p *Pairs) swap(i, j int) {
 	p.Tail[i], p.Tail[j] = p.Tail[j], p.Tail[i]
 }
 
+// rotate moves the tuple at c to a, the one at a to b and the one at b to c.
+func (p *Pairs) rotate(a, b, c int) {
+	p.Head[a], p.Head[b], p.Head[c] = p.Head[c], p.Head[a], p.Head[b]
+	p.Tail[a], p.Tail[b], p.Tail[c] = p.Tail[c], p.Tail[a], p.Tail[b]
+}
+
 // onLeft reports whether value v belongs strictly before boundary b.
 func onLeft(v Value, b crackindex.Bound) bool {
 	if b.Incl {
@@ -173,8 +193,9 @@ func b2v(b bool) Value {
 // or the branchy two-pointer reference (Pairs.Branchy); both execute the
 // same cursor state machine and produce identical layouts, which the
 // equivalence fuzz targets pin. The result is a deterministic function of
-// the piece contents either way.
-func (p *Pairs) crackInTwo(b crackindex.Bound, lo, hi int) int {
+// the piece contents either way. Every peer receives the same swaps (see
+// CrackRange).
+func (p *Pairs) crackInTwo(b crackindex.Bound, lo, hi int, peers []*Pairs) int {
 	p.Stats.InTwo++
 	p.Stats.Visited += hi - lo
 	c, ok := cut(b)
@@ -183,10 +204,23 @@ func (p *Pairs) crackInTwo(b crackindex.Bound, lo, hi int) int {
 		// on its left; nothing moves and the split is at hi.
 		return hi
 	}
+	var split, moved int
 	if p.Branchy {
-		return p.crackInTwoBranchy(c, lo, hi)
+		split, moved = p.crackInTwoBranchy(c, lo, hi, peers)
+	} else {
+		split, moved = p.crackInTwoPred(c, lo, hi, peers)
 	}
-	return p.crackInTwoPred(c, lo, hi)
+	p.addMoved(peers, moved)
+	return split
+}
+
+// addMoved charges moved tuple stores to the leader and to every peer: each
+// of them stored that many tuples of its own.
+func (p *Pairs) addMoved(peers []*Pairs, moved int) {
+	p.Stats.Moved += moved
+	for _, q := range peers {
+		q.Stats.Moved += moved
+	}
 }
 
 // crackInTwoBranchy is the branchy reference of the count-then-repair
@@ -195,8 +229,9 @@ func (p *Pairs) crackInTwo(b crackindex.Bound, lo, hi int) int {
 // the right region for misplaced (< c) ones, swapping the k-th stall of
 // each — every swap puts two tuples in their final region, the minimum
 // movement any swap-based partition can achieve. The stall positions and
-// their pairing are what crackInTwoPred replicates exactly.
-func (p *Pairs) crackInTwoBranchy(c Value, lo, hi int) int {
+// their pairing are what crackInTwoPred replicates exactly. It returns the
+// split position and the number of tuple stores.
+func (p *Pairs) crackInTwoBranchy(c Value, lo, hi int, peers []*Pairs) (int, int) {
 	h, t := p.Head, p.Tail
 	nL := 0
 	for _, v := range h[lo:hi] {
@@ -220,12 +255,14 @@ func (p *Pairs) crackInTwoBranchy(c Value, lo, hi int) int {
 		}
 		h[i], h[j] = h[j], h[i]
 		t[i], t[j] = t[j], t[i]
+		for _, q := range peers {
+			q.swap(i, j)
+		}
 		moved += 2
 		i++
 		j++
 	}
-	p.Stats.Moved += moved
-	return split
+	return split, moved
 }
 
 // predBlock is the compaction block size of the predicated kernels: small
@@ -242,9 +279,11 @@ const predBlock = 256
 // while here the only data-dependent control is one buffer check per
 // predBlock tuples. Pairing (k-th misplaced of the left region with the
 // k-th of the right) matches crackInTwoBranchy exactly, so layouts and
-// stats are identical (fuzz-pinned).
-func (p *Pairs) crackInTwoPred(c Value, lo, hi int) int {
-	h, t := p.Head, p.Tail
+// stats are identical (fuzz-pinned). Each block's swaps touch only
+// positions already classified, so they are applied pair by pair: the
+// leader's head and tail, then each peer's.
+func (p *Pairs) crackInTwoPred(c Value, lo, hi int, peers []*Pairs) (int, int) {
+	h := p.Head
 	nL := 0
 	for _, v := range h[lo:hi] {
 		nL += int(b2v(v < c))
@@ -280,17 +319,39 @@ func (p *Pairs) crackInTwoPred(c Value, lo, hi int) int {
 			}
 			continue
 		}
-		for k := 0; k < sw; k++ {
-			a, b := bufI[ci+k], bufJ[cj+k]
-			h[a], h[b] = h[b], h[a]
-			t[a], t[b] = t[b], t[a]
+		a, b := bufI[ci:ci+sw], bufJ[cj:cj+sw]
+		swapEach(h, p.Tail, a, b)
+		for _, q := range peers {
+			swapEach(q.Head, q.Tail, a, b)
 		}
 		moved += 2 * sw
 		ci += sw
 		cj += sw
 	}
-	p.Stats.Moved += moved
-	return split
+	return split, moved
+}
+
+// swapEach exchanges the tuples at a[k] and b[k] of head and tail for
+// every k; len(b) >= len(a).
+func swapEach[P int | int32](h, t []Value, a, b []P) {
+	b = b[:len(a)]
+	for k := range a {
+		x, y := a[k], b[k]
+		h[x], h[y] = h[y], h[x]
+		t[x], t[y] = t[y], t[x]
+	}
+}
+
+// rotateEach moves the tuple at c[k] to a[k], the one at a[k] to b[k] and
+// the one at b[k] to c[k], in head and tail, for every k; b and c are at
+// least as long as a.
+func rotateEach(h, t []Value, a, b, c []int32) {
+	b, c = b[:len(a)], c[:len(a)]
+	for k := range a {
+		x, y, z := a[k], b[k], c[k]
+		h[x], h[y], h[z] = h[z], h[x], h[y]
+		t[x], t[y], t[z] = t[z], t[x], t[y]
+	}
 }
 
 // CrackBound ensures a physical boundary for b exists, cracking the piece it
@@ -299,19 +360,28 @@ func (p *Pairs) crackInTwoPred(c Value, lo, hi int) int {
 // Policy, a piece larger than the policy cap is first split at auxiliary
 // pivots.
 func (p *Pairs) CrackBound(b crackindex.Bound) int {
-	p.applyPolicy(b)
-	return p.crackBoundAt(b, p.Idx.PieceFor(b, len(p.Head)))
+	p.applyPolicy(b, nil)
+	return p.crackBoundAt(b, p.Idx.PieceFor(b, len(p.Head)), nil)
 }
 
 // crackBoundAt is CrackBound for a bound whose piece is already located,
 // saving the index descent.
-func (p *Pairs) crackBoundAt(b crackindex.Bound, pc crackindex.Piece) int {
+func (p *Pairs) crackBoundAt(b crackindex.Bound, pc crackindex.Piece, peers []*Pairs) int {
 	if pc.LoExact {
 		return pc.Lo
 	}
-	pos := p.crackInTwo(b, pc.Lo, pc.Hi)
-	p.Idx.Insert(b, pos)
+	pos := p.crackInTwo(b, pc.Lo, pc.Hi, peers)
+	p.insertBound(peers, b, pos)
 	return pos
+}
+
+// insertBound records boundary b at pos in the leader's index and in every
+// peer's.
+func (p *Pairs) insertBound(peers []*Pairs, b crackindex.Bound, pos int) {
+	p.Idx.Insert(b, pos)
+	for _, q := range peers {
+		q.Idx.Insert(b, pos)
+	}
 }
 
 // crackInThree partitions positions [lo, hi) against both bounds in one
@@ -330,24 +400,31 @@ func (p *Pairs) crackBoundAt(b crackindex.Bound, pc crackindex.Piece) int {
 // (TestCrackInThreeMovesNoMoreThanTwoPass pins it).
 //
 // Like crackInTwo it dispatches between the predicated default and the
-// branchy reference, which produce identical layouts, and is a
-// deterministic function of the piece contents.
-func (p *Pairs) crackInThree(b1, b2 crackindex.Bound, lo, hi int) (int, int) {
+// branchy reference, which produce identical layouts, is a deterministic
+// function of the piece contents, and gives every peer the same moves.
+func (p *Pairs) crackInThree(b1, b2 crackindex.Bound, lo, hi int, peers []*Pairs) (int, int) {
 	c1, ok1 := cut(b1)
 	c2, ok2 := cut(b2)
 	if !ok1 || !ok2 {
 		// Unreachable for predicates over real value domains; resolve the
 		// non-representable bound as two crack-in-two passes (which keep
 		// their own stats).
-		lo = p.crackInTwo(b1, lo, hi)
-		return lo, p.crackInTwo(b2, lo, hi)
+		lo = p.crackInTwo(b1, lo, hi, peers)
+		return lo, p.crackInTwo(b2, lo, hi, peers)
 	}
 	p.Stats.InThree++
 	p.Stats.Visited += hi - lo
-	if p.Branchy {
-		return p.crackInThreeBranchy(c1, c2, lo, hi)
+	var lt, gt, moved int
+	if p.Branchy || hi > math.MaxInt32 {
+		// Positions beyond MaxInt32 no longer fit the predicated kernel's
+		// int32 buffers; the branchy reference produces the identical
+		// layout.
+		lt, gt, moved = p.crackInThreeBranchy(c1, c2, lo, hi, peers)
+	} else {
+		lt, gt, moved = p.crackInThreePred(c1, c2, lo, hi, peers)
 	}
-	return p.crackInThreePred(c1, c2, lo, hi)
+	p.addMoved(peers, moved)
+	return lt, gt
 }
 
 // crackInThreeBranchy is the branchy reference of the count-then-permute
@@ -359,8 +436,9 @@ func (p *Pairs) crackInThree(b1, b2 crackindex.Bound, lo, hi int) (int, int) {
 // conservation forces into 3-cycles of a single orientation (one tuple per
 // region), with three-way rotations. Every misplaced tuple is written
 // exactly once: the minimum movement any correct partition can achieve.
-// The phase order and pairing are what crackInThreePred replicates.
-func (p *Pairs) crackInThreeBranchy(c1, c2 Value, lo, hi int) (int, int) {
+// The phase order and pairing are what crackInThreePred replicates. It
+// returns the split positions and the number of tuple stores.
+func (p *Pairs) crackInThreeBranchy(c1, c2 Value, lo, hi int, peers []*Pairs) (int, int, int) {
 	h, t := p.Head, p.Tail
 	nL, nM := 0, 0
 	for _, v := range h[lo:hi] {
@@ -372,6 +450,14 @@ func (p *Pairs) crackInThreeBranchy(c1, c2 Value, lo, hi int) (int, int) {
 	}
 	lt, gt := lo+nL, lo+nL+nM
 	moved := 0
+	swap := func(i, j int) {
+		h[i], h[j] = h[j], h[i]
+		t[i], t[j] = t[j], t[i]
+		for _, q := range peers {
+			q.swap(i, j)
+		}
+		moved += 2
+	}
 
 	// Phase 1: 2-cycles M-in-A <-> L-in-B.
 	i, j := lo, lt
@@ -385,9 +471,7 @@ func (p *Pairs) crackInThreeBranchy(c1, c2 Value, lo, hi int) (int, int) {
 		if i == lt || j == gt {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
-		t[i], t[j] = t[j], t[i]
-		moved += 2
+		swap(i, j)
 		i++
 		j++
 	}
@@ -403,9 +487,7 @@ func (p *Pairs) crackInThreeBranchy(c1, c2 Value, lo, hi int) (int, int) {
 		if i == lt || j == hi {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
-		t[i], t[j] = t[j], t[i]
-		moved += 2
+		swap(i, j)
 		i++
 		j++
 	}
@@ -421,9 +503,7 @@ func (p *Pairs) crackInThreeBranchy(c1, c2 Value, lo, hi int) (int, int) {
 		if i == gt || j == hi {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
-		t[i], t[j] = t[j], t[i]
-		moved += 2
+		swap(i, j)
 		i++
 		j++
 	}
@@ -443,22 +523,22 @@ func (p *Pairs) crackInThreeBranchy(c1, c2 Value, lo, hi int) (int, int) {
 		if a == lt || b == gt || c == hi {
 			break
 		}
-		if h[a] < c2 {
-			// M@a, R@b, L@c: a<-c, b<-a, c<-b.
-			h[a], h[b], h[c] = h[c], h[a], h[b]
-			t[a], t[b], t[c] = t[c], t[a], t[b]
-		} else {
-			// R@a, L@b, M@c: a<-b, b<-c, c<-a.
-			h[a], h[b], h[c] = h[b], h[c], h[a]
-			t[a], t[b], t[c] = t[b], t[c], t[a]
+		// M@a, R@b, L@c rotates a<-c, b<-a, c<-b; R@a, L@b, M@c rotates
+		// a<-b, b<-c, c<-a, the same cycle with b and c exchanged.
+		x, y, z := a, b, c
+		if h[a] >= c2 {
+			y, z = c, b
+		}
+		p.rotate(x, y, z)
+		for _, q := range peers {
+			q.rotate(x, y, z)
 		}
 		moved += 3
 		a++
 		b++
 		c++
 	}
-	p.Stats.Moved += moved
-	return lt, gt
+	return lt, gt, moved
 }
 
 // threeScratch pools the position-buffer scratch of crackInThreePred
@@ -468,6 +548,31 @@ func (p *Pairs) crackInThreeBranchy(c1, c2 Value, lo, hi int) (int, int) {
 // parallel, hence a pool rather than a global.
 var threeScratch = sync.Pool{New: func() any { return new([]int32) }}
 
+// threeSchedule is the move schedule of one predicated crack-in-three: the
+// scan-order positions of the misplaced tuples per (region, class), and the
+// 2-cycle counts of the three swap phases. Applying it to a (head, tail)
+// pair performs the crack's permutation on that pair.
+type threeSchedule struct {
+	am, ar, bl, br, cl, cm []int32 // misplaced positions, e.g. am = M-class tuples in region A
+	s1, s2, s3             int     // 2-cycles of phases M-in-A/L-in-B, R-in-A/L-in-C, R-in-B/M-in-C
+}
+
+// apply permutes head and tail by the schedule: the three greedy 2-cycle
+// phases, then the leftover 3-cycles, whose buffer tails are still in scan
+// order, matching the branchy phase 4.
+func (s *threeSchedule) apply(h, t []Value) {
+	swapEach(h, t, s.am[:s.s1], s.bl)
+	swapEach(h, t, s.ar[:s.s2], s.cl)
+	swapEach(h, t, s.br[:s.s3], s.cm)
+	rotateEach(h, t, s.am[s.s1:], s.br[s.s3:], s.cl[s.s2:]) // M@a, R@b, L@c: a<-c, b<-a, c<-b
+	rotateEach(h, t, s.ar[s.s2:], s.cm[s.s3:], s.bl[s.s1:]) // R@a, L@b, M@c: a<-b, b<-c, c<-a
+}
+
+// moved is the number of tuple stores the schedule performs on a pair.
+func (s *threeSchedule) moved() int {
+	return 2*(s.s1+s.s2+s.s3) + 3*(len(s.am)-s.s1+len(s.ar)-s.s2)
+}
+
 // crackInThreePred is the branch-free predicated crack-in-three: the same
 // counting pass and repair phases as crackInThreeBranchy, but each region
 // is scanned exactly once, compacting the positions of its two misplaced
@@ -476,14 +581,11 @@ var threeScratch = sync.Pool{New: func() any { return new([]int32) }}
 // buffer lengths by arithmetic, and every swap and rotation is applied
 // unconditionally from the buffers. Pairing is scan-order on both sides of
 // every phase — exactly crackInThreeBranchy's — so layouts and stats are
-// identical (fuzz-pinned).
-func (p *Pairs) crackInThreePred(c1, c2 Value, lo, hi int) (int, int) {
-	if hi > math.MaxInt32 {
-		// Positions no longer fit the int32 compaction buffers; the
-		// branchy reference produces the identical layout.
-		return p.crackInThreeBranchy(c1, c2, lo, hi)
-	}
-	h, t := p.Head, p.Tail
+// identical (fuzz-pinned). Classification reads only the leader's head, so
+// the finished schedule is applied pair by pair: the leader's head and
+// tail, then each peer's. Requires hi <= MaxInt32.
+func (p *Pairs) crackInThreePred(c1, c2 Value, lo, hi int, peers []*Pairs) (int, int, int) {
+	h := p.Head
 	nL, nM := 0, 0
 	for _, v := range h[lo:hi] {
 		nL += int(b2v(v < c1))
@@ -532,43 +634,17 @@ func (p *Pairs) crackInThreePred(c1, c2 Value, lo, hi int) (int, int) {
 		nCM += int(b2v(v >= c1) & b2v(v < c2))
 	}
 
-	// Greedy 2-cycle phases (pairing matches the branchy phases).
-	s1 := min(nAM, nBL) // M-in-A <-> L-in-B
-	for k := 0; k < s1; k++ {
-		a, b := int(bufAM[k]), int(bufBL[k])
-		h[a], h[b] = h[b], h[a]
-		t[a], t[b] = t[b], t[a]
+	sch := threeSchedule{
+		am: bufAM[:nAM], ar: bufAR[:nAR], bl: bufBL[:nBL],
+		br: bufBR[:nBR], cl: bufCL[:nCL], cm: bufCM[:nCM],
+		s1: min(nAM, nBL), s2: min(nAR, nCL), s3: min(nBR, nCM),
 	}
-	s2 := min(nAR, nCL) // R-in-A <-> L-in-C
-	for k := 0; k < s2; k++ {
-		a, b := int(bufAR[k]), int(bufCL[k])
-		h[a], h[b] = h[b], h[a]
-		t[a], t[b] = t[b], t[a]
-	}
-	s3 := min(nBR, nCM) // R-in-B <-> M-in-C
-	for k := 0; k < s3; k++ {
-		a, b := int(bufBR[k]), int(bufCM[k])
-		h[a], h[b] = h[b], h[a]
-		t[a], t[b] = t[b], t[a]
-	}
-
-	// Leftover 3-cycles, single orientation by class conservation; the
-	// buffer tails are still in scan order, matching the branchy phase 4.
-	r1 := nAM - s1 // M@a, R@b, L@c: a<-c, b<-a, c<-b
-	for k := 0; k < r1; k++ {
-		pa, pb, pc := int(bufAM[s1+k]), int(bufBR[s3+k]), int(bufCL[s2+k])
-		h[pa], h[pb], h[pc] = h[pc], h[pa], h[pb]
-		t[pa], t[pb], t[pc] = t[pc], t[pa], t[pb]
-	}
-	r2 := nAR - s2 // R@a, L@b, M@c: a<-b, b<-c, c<-a
-	for k := 0; k < r2; k++ {
-		pa, pb, pc := int(bufAR[s2+k]), int(bufBL[s1+k]), int(bufCM[s3+k])
-		h[pa], h[pb], h[pc] = h[pb], h[pc], h[pa]
-		t[pa], t[pb], t[pc] = t[pb], t[pc], t[pa]
+	sch.apply(h, p.Tail)
+	for _, q := range peers {
+		sch.apply(q.Head, q.Tail)
 	}
 	threeScratch.Put(sp)
-	p.Stats.Moved += 2*(s1+s2+s3) + 3*(r1+r2)
-	return lt, gt
+	return lt, gt, sch.moved()
 }
 
 // CrackRange physically reorganizes the pairs so that all tuples matching
@@ -580,34 +656,62 @@ func (p *Pairs) crackInThreePred(c1, c2 Value, lo, hi int) (int, int) {
 // one crack-in-three pass; otherwise each bound cracks its own piece in
 // two. The path choice depends only on the index state, so it is identical
 // across maps replaying the same operation sequence.
-func (p *Pairs) CrackRange(pred store.Pred) (lo, hi int) {
+//
+// Peers are pairs aligned with p: the same head values in the same order,
+// the same index boundaries and the same Policy, as maps of one sideways set
+// are after replaying the same tape prefix. Only p's head is classified;
+// every swap, rotation, auxiliary pivot and index boundary it produces is
+// mirrored onto each peer's head, tail and index, so each peer ends up
+// byte-identical to cracking it alone, at the cost of moving its tuples
+// without classifying them. Peers' Stats count only what changed in them
+// (see KernelStats). A peer that is p itself, repeated, or visibly not
+// aligned (length or policy) panics.
+func (p *Pairs) CrackRange(pred store.Pred, peers ...*Pairs) (lo, hi int) {
+	p.checkPeers(peers)
 	b1, b2 := pred.LowerBound(), pred.UpperBound()
 	if p.Policy.Kind != Default {
 		// Pre-split oversized target pieces at auxiliary policy pivots.
 		// This runs before the path choice below, so the choice stays a
 		// deterministic function of (index state, policy) and aligned maps
 		// replaying the same sequence keep identical layouts.
-		p.applyPolicy(b1)
-		p.applyPolicy(b2)
+		p.applyPolicy(b1, peers)
+		p.applyPolicy(b2, peers)
 	}
 	if b1.Less(b2) {
 		pc := p.Idx.PieceFor(b1, len(p.Head))
 		if !pc.LoExact && (!pc.HasHiB || b2.Less(pc.HiBound)) {
-			lo, hi = p.crackInThree(b1, b2, pc.Lo, pc.Hi)
-			p.Idx.Insert(b1, lo)
-			p.Idx.Insert(b2, hi)
+			lo, hi = p.crackInThree(b1, b2, pc.Lo, pc.Hi, peers)
+			p.insertBound(peers, b1, lo)
+			p.insertBound(peers, b2, hi)
 			return lo, hi
 		}
-		lo = p.crackBoundAt(b1, pc) // reuse the descent the probe already paid
+		lo = p.crackBoundAt(b1, pc, peers) // reuse the descent the probe already paid
 	} else {
-		lo = p.crackBoundAt(b1, p.Idx.PieceFor(b1, len(p.Head)))
+		lo = p.crackBoundAt(b1, p.Idx.PieceFor(b1, len(p.Head)), peers)
 	}
-	hi = p.crackBoundAt(b2, p.Idx.PieceFor(b2, len(p.Head)))
+	hi = p.crackBoundAt(b2, p.Idx.PieceFor(b2, len(p.Head)), peers)
 	if hi < lo {
 		// Possible only for empty predicates (e.g. lo > hi); normalize.
 		hi = lo
 	}
 	return lo, hi
+}
+
+// checkPeers panics on peers CrackRange cannot mirror onto: p itself, a
+// repeated peer (either would receive every move twice), or a peer whose
+// length or policy differs from p's. Head order and index boundaries are
+// the caller's contract; checking them would cost the pass peers save.
+func (p *Pairs) checkPeers(peers []*Pairs) {
+	for i, q := range peers {
+		if q == p || len(q.Head) != len(p.Head) || q.Policy != p.Policy {
+			panic("crack: CrackRange peer is the leader or not aligned with it")
+		}
+		for _, r := range peers[:i] {
+			if r == q {
+				panic("crack: CrackRange peer repeated")
+			}
+		}
+	}
 }
 
 // Area is the read-only lookup behind SelectRO and QueryRO: if both

@@ -111,8 +111,10 @@ const maxPolicySplits = 64
 // as a normal boundary. A no-op under the Default policy, when b already
 // exists as a boundary, and on pieces at or below the cap — in particular,
 // a crack whose bounds are all existing boundaries stays a physical no-op
-// under every policy (partial sideways' lazy replay relies on that).
-func (p *Pairs) applyPolicy(b crackindex.Bound) {
+// under every policy (partial sideways' lazy replay relies on that). Pivots
+// are chosen from p's head alone and every split is mirrored onto the
+// peers (see CrackRange), which count the auxiliary pivot too.
+func (p *Pairs) applyPolicy(b crackindex.Bound, peers []*Pairs) {
 	if p.Policy.Kind == Default || len(p.Head) == 0 {
 		return
 	}
@@ -133,9 +135,12 @@ func (p *Pairs) applyPolicy(b crackindex.Bound) {
 			// way another partition pass cannot shrink the piece.
 			return
 		}
-		pos := p.crackInTwo(pb, pc.Lo, pc.Hi)
-		p.Idx.Insert(pb, pos)
+		pos := p.crackInTwo(pb, pc.Lo, pc.Hi, peers)
+		p.insertBound(peers, pb, pos)
 		p.Stats.Aux++
+		for _, q := range peers {
+			q.Stats.Aux++
+		}
 		if (pos == pc.Lo || pos == pc.Hi) && p.Policy.Kind != Capped {
 			// The pivot was the piece's extreme value: positions did not
 			// move and a re-sample would pick it again. Capped continues —

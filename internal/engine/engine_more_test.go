@@ -307,3 +307,77 @@ func TestQuickEnginesAgreeDisjunctiveWithUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCountOnlyQueries: a query that projects nothing still counts its
+// rows, on every kind and through both Query and QueryRO, with one
+// predicate and with a second one, before and after updates (the
+// read-only row store answers the first round only). Sideways
+// and partial sideways answer such queries through their key maps and
+// must then answer them read-only too.
+func TestCountOnlyQueries(t *testing.T) {
+	const rows = 1000
+	rel := store.Build("R", rows, []string{"A", "B"}, func(attr string, row int) Value {
+		if attr == "A" {
+			return Value(row)
+		}
+		return Value(row % 7)
+	})
+	queries := []Query{
+		{Preds: []AttrPred{{Attr: "A", Pred: store.Range(10, 20)}}},
+		{Preds: []AttrPred{{Attr: "A", Pred: store.Range(10, 20)}, {Attr: "B", Pred: store.Range(0, 3)}}},
+		{Preds: []AttrPred{{Attr: "B", Pred: store.Range(0, 3)}, {Attr: "A", Pred: store.Range(10, 400)}}},
+	}
+	count := func(rel *store.Relation, dead map[int]bool, q Query) int {
+		n := 0
+		for i := 0; i < rel.NumRows(); i++ {
+			match := !dead[i]
+			for _, ap := range q.Preds {
+				match = match && ap.Pred.Matches(rel.MustColumn(ap.Attr).Vals[i])
+			}
+			if match {
+				n++
+			}
+		}
+		return n
+	}
+	engines := map[string]Engine{"snapshot": Snapshot(New(SelCrack, cloneRel(rel)))}
+	for _, k := range append(allKinds(), RowStore) {
+		engines[k.String()] = New(k, cloneRel(rel))
+	}
+	for name, e := range engines {
+		t.Run(name, func(t *testing.T) {
+			model := cloneRel(rel)
+			dead := map[int]bool{}
+			for round := 0; round < 2; round++ {
+				for i, q := range queries {
+					want := count(model, dead, q)
+					if res, _, ok := e.QueryRO(q); ok && res.N != want {
+						t.Fatalf("round %d query %d: cold QueryRO N=%d, want %d", round, i, res.N, want)
+					}
+					if res, _ := e.Query(q); res.N != want {
+						t.Fatalf("round %d query %d: Query N=%d, want %d", round, i, res.N, want)
+					}
+					res, _, ok := e.QueryRO(q)
+					if ok && res.N != want {
+						t.Fatalf("round %d query %d: QueryRO N=%d, want %d", round, i, res.N, want)
+					}
+					if !ok && (name == "sideways" || name == "partial") {
+						t.Fatalf("round %d query %d: QueryRO refused a query Query just answered", round, i)
+					}
+				}
+				if name == "rowstore" {
+					break // the row-store reference takes no updates
+				}
+				// Updates inside the queried ranges, merged by the next round.
+				for _, key := range []int{12, 14, 300} {
+					e.Delete(key)
+					dead[key] = true
+				}
+				for _, v := range []Value{11, 15, 350} {
+					e.Insert(v, v%7)
+					model.AppendRow(v, v%7)
+				}
+			}
+		})
+	}
+}

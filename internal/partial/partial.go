@@ -599,11 +599,19 @@ type Region struct {
 // region.
 func (r Region) Tail(i int) []Value { return r.Chunks[i].p.Tail[r.Lo:r.Hi] }
 
+// keyTail is the tail list of a query that needs no tail attribute: it
+// answers through the key chunks.
+var keyTail = []string{""}
+
 // Query is the set-level partial sideways.select: resolve/fetch the areas
 // covering pred, merge relevant pending updates into the area tapes, crack
 // boundary chunks, partially align covered chunks, and return one Region
-// per area in value order (chunk-wise processing, Section 4.1).
+// per area in value order (chunk-wise processing, Section 4.1). With no
+// tail attributes each region holds the area's key chunk alone.
 func (set *Set) Query(pred store.Pred, tailAttrs []string) []Region {
+	if len(tailAttrs) == 0 {
+		tailAttrs = keyTail
+	}
 	set.st.queries++
 	areas := set.resolve(pred)
 	if len(areas) == 0 {
@@ -1015,6 +1023,9 @@ func (set *Set) resolveRO(pred store.Pred) ([]*area, bool) {
 // reorganize: a gap needs fetching, a chunk is missing or misaligned, or a
 // boundary chunk lacks the predicate's physical bounds.
 func (s *Store) regionsRO(set *Set, pred store.Pred, tailAttrs []string) ([]Region, bool) {
+	if len(tailAttrs) == 0 {
+		tailAttrs = keyTail // as in Query
+	}
 	areas, ok := set.resolveRO(pred)
 	if !ok {
 		return nil, false

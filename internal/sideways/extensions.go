@@ -198,13 +198,6 @@ func CrackerJoin(ls *Store, lAttr string, rs *Store, rAttr string, parts int) []
 // it merges pending updates, cracks, aligns, and returns the qualifying
 // area of the aligned key map (head = attribute values, tail = keys).
 func (set *Set) QueryKeys(pred store.Pred) (lo, hi int, m *Map) {
-	if set.keyMap == nil {
-		set.keyMap = set.newMap("")
-	}
-	set.mergePending(pred)
-	set.tape = append(set.tape, entry{kind: entryCrack, pred: pred})
-	set.replay(set.keyMap, len(set.tape))
-	set.keyMap.access++
-	lo, hi = areaOf(set.keyMap, pred)
-	return lo, hi, set.keyMap
+	lo, hi, used := set.Query(pred, keyTail)
+	return lo, hi, used[0]
 }

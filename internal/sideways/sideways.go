@@ -9,7 +9,11 @@
 // deterministic cracking algorithms in internal/crack guarantee that maps
 // replaying the same tape prefix are physically identical in head order, so
 // multi-attribute results are positionally aligned and tuple reconstruction
-// is free (Section 3.2).
+// is free (Section 3.2). The same invariant lets maps at the same cursor
+// replay together: Set.Query aligns its maps through one align call, which
+// groups them by cursor and classifies each crack entry once per group,
+// mirroring the moves onto every member (crack.Pairs.CrackRange peers), so
+// a query projecting k attributes pays one classification, not k.
 //
 // Multi-selection queries use a single aligned set plus bit-vector filtering
 // (Section 3.3); the set is chosen via the self-organizing histograms kept
@@ -123,6 +127,10 @@ type Store struct {
 	// first predicate's map set instead of consulting the self-organizing
 	// histograms for the most selective one (Section 3.3).
 	NaiveSetChoice bool
+
+	// alignAlone makes align replay every map alone, never as a group: the
+	// per-map reference the aligned-replay fuzz target compares against.
+	alignAlone bool
 
 	// Policy is the adaptive cracking policy (crack.Policy) applied to
 	// maps. It is snapshotted per map set at set creation: every map of a
@@ -275,24 +283,64 @@ func (set *Set) newMap(tailAttr string) *Map {
 // MapIfExists returns the map for tailAttr if materialized.
 func (set *Set) MapIfExists(tailAttr string) *Map { return set.maps[tailAttr] }
 
-// replay applies tape entries [m.cursor, end) to m.
-func (set *Set) replay(m *Map, end int) {
-	rel := set.st.rel
-	var tailCol *store.Column
-	if m.tailAttr != "" {
-		tailCol = rel.MustColumn(m.tailAttr)
+// align replays tape entries [cursor, end) onto every map in maps; maps
+// already at end and repeats are skipped. Maps at the same
+// cursor are physically identical in head order (the alignment invariant),
+// so they replay as one group: a crack entry classifies the group leader's
+// head once and mirrors the moves onto every other member
+// (crack.Pairs.CrackRange peers); a map whose cursor the replay reaches
+// joins the group there. Insert and delete entries are applied per map,
+// since they also depend on each map's tail column.
+func (set *Set) align(maps []*Map, end int) {
+	var waiting []*Map
+	for _, m := range maps {
+		if m.cursor < end && !slices.Contains(waiting, m) {
+			waiting = append(waiting, m)
+		}
 	}
+	if len(waiting) == 0 {
+		return
+	}
+	if set.st.alignAlone && len(waiting) > 1 {
+		for _, m := range waiting {
+			set.align([]*Map{m}, end)
+		}
+		return
+	}
+	slices.SortStableFunc(waiting, func(a, b *Map) int { return a.cursor - b.cursor })
+	rel := set.st.rel
 	headCol := rel.MustColumn(set.attr)
-	for ; m.cursor < end; m.cursor++ {
-		e := set.tape[m.cursor]
+	var group []*Map
+	var peers []*crack.Pairs
+	for c := waiting[0].cursor; c < end; c++ {
+		for len(waiting) > 0 && waiting[0].cursor == c {
+			m := waiting[0]
+			waiting = waiting[1:]
+			if len(group) > 0 {
+				peers = append(peers, m.pairs)
+			}
+			group = append(group, m)
+		}
+		e := set.tape[c]
 		switch e.kind {
 		case entryCrack:
-			m.pairs.CrackRange(e.pred)
+			group[0].pairs.CrackRange(e.pred, peers...)
 		case entryInsert:
-			m.pairs.RippleInsertKeys(e.keys, headCol, tailCol)
+			for _, m := range group {
+				var tailCol *store.Column
+				if m.tailAttr != "" {
+					tailCol = rel.MustColumn(m.tailAttr)
+				}
+				m.pairs.RippleInsertKeys(e.keys, headCol, tailCol)
+			}
 		case entryDelete:
-			m.pairs.RippleDeleteBatch(e.positions)
+			for _, m := range group {
+				m.pairs.RippleDeleteBatch(e.positions)
+			}
 		}
+	}
+	for _, m := range group {
+		m.cursor = end
 	}
 }
 
@@ -326,60 +374,80 @@ func (set *Set) mergePending(pred store.Pred) {
 		}
 		if len(matchedKeys) > 0 {
 			sort.Ints(matchedKeys)
-			if set.keyMap == nil {
-				set.keyMap = set.newMap("")
-			}
-			set.replay(set.keyMap, len(set.tape))
+			km := set.mapFor("", nil)
+			set.align([]*Map{km}, len(set.tape))
 			want := make(map[Value]bool, len(matchedKeys))
 			for _, k := range matchedKeys {
 				want[Value(k)] = true
 				delete(set.pendDel, k)
 			}
 			var positions []int
-			for i, k := range set.keyMap.pairs.Tail {
+			for i, k := range km.pairs.Tail {
 				if want[k] {
 					positions = append(positions, i)
 				}
 			}
 			sort.Ints(positions)
 			set.tape = append(set.tape, entry{kind: entryDelete, positions: positions})
-			set.replay(set.keyMap, len(set.tape))
+			set.align([]*Map{km}, len(set.tape))
 		}
 	}
 }
+
+// keyTail is the tail list of a query that needs no tail attribute: it
+// answers through the key map.
+var keyTail = []string{""}
 
 // Query is the set-level sideways.select for one predicate over any number
 // of tail attributes: it merges relevant pending updates, logs the crack in
 // the tape, creates missing maps, aligns every requested map, and returns
 // the contiguous result area [lo, hi) shared by all of them (they are
-// positionally aligned). The returned maps give access to the tails.
+// positionally aligned). used[i] is the map of tailAttrs[i]; the tail
+// attribute "" names the key map M_Akey, which also answers a query with
+// no tail attributes (used then holds just the key map).
 func (set *Set) Query(pred store.Pred, tailAttrs []string) (lo, hi int, used []*Map) {
+	if len(tailAttrs) == 0 {
+		tailAttrs = keyTail
+	}
 	used = make([]*Map, len(tailAttrs))
 	for i, attr := range tailAttrs {
-		m, ok := set.maps[attr]
-		if !ok {
-			set.st.ensureBudget(set, attr, tailAttrs)
-			m = set.newMap(attr)
-			set.maps[attr] = m
-		}
-		used[i] = m
+		used[i] = set.mapFor(attr, tailAttrs)
 	}
 	set.mergePending(pred)
 	set.tape = append(set.tape, entry{kind: entryCrack, pred: pred})
-	for _, m := range used {
-		set.replay(m, len(set.tape))
-		m.access++
-	}
+	aligned := used
 	if set.st.EagerAlignment {
+		// On-line alignment: every map of the set follows the tape end.
+		aligned = slices.Clone(used)
 		for _, m := range set.maps {
-			set.replay(m, len(set.tape))
+			aligned = append(aligned, m)
 		}
 	}
-	if len(used) == 0 {
-		return 0, 0, used
+	set.align(aligned, len(set.tape))
+	for _, m := range used {
+		m.access++
 	}
 	lo, hi = areaOf(used[0], pred)
 	return lo, hi, used
+}
+
+// mapFor returns the map for tailAttr ("" for the key map), materializing
+// it at tape cursor 0 when missing. A new tail map first makes room under
+// the store budget, sparing the maps of needed.
+func (set *Set) mapFor(tailAttr string, needed []string) *Map {
+	if tailAttr == "" {
+		if set.keyMap == nil {
+			set.keyMap = set.newMap("")
+		}
+		return set.keyMap
+	}
+	m, ok := set.maps[tailAttr]
+	if !ok {
+		set.st.ensureBudget(set, tailAttr, needed)
+		m = set.newMap(tailAttr)
+		set.maps[tailAttr] = m
+	}
+	return m
 }
 
 // areaOf reads the result area of pred from an aligned map's index.
@@ -680,10 +748,14 @@ func (s *Store) roEligible(set *Set, pred store.Pred, disjunctive bool) bool {
 	return true
 }
 
-// roMap returns the map for tailAttr if it exists and is aligned to the
-// tape end, or nil when the write path would materialize or replay it.
+// roMap returns the map for tailAttr ("" for the key map) if it exists and
+// is aligned to the tape end, or nil when the write path would materialize
+// or replay it.
 func (set *Set) roMap(tailAttr string) *Map {
 	m := set.maps[tailAttr]
+	if tailAttr == "" {
+		m = set.keyMap
+	}
 	if m == nil || m.cursor != len(set.tape) {
 		return nil
 	}
@@ -704,19 +776,19 @@ func (s *Store) planRO(preds []AttrPred, projs []string, disjunctive bool) (roPl
 		return plan, false
 	}
 	tailAttrs, tailOf := tailPlan(others, projs)
-	used := make([]*Map, len(tailAttrs))
-	for i, attr := range tailAttrs {
+	attrs := tailAttrs
+	if len(attrs) == 0 {
+		attrs = keyTail // as in Query: the key map answers
+	}
+	used := make([]*Map, len(attrs))
+	for i, attr := range attrs {
 		if used[i] = set.roMap(attr); used[i] == nil {
 			return plan, false
 		}
 	}
-	lo, hi := 0, 0
-	if len(used) > 0 {
-		var ok bool
-		lo, hi, ok = used[0].pairs.Area(head.Pred)
-		if !ok {
-			return plan, false
-		}
+	lo, hi, ok := used[0].pairs.Area(head.Pred)
+	if !ok {
+		return plan, false
 	}
 	return roPlan{set: set, lo: lo, hi: hi, used: used,
 		tailAttrs: tailAttrs, tailOf: tailOf, others: others}, true
@@ -768,10 +840,7 @@ func (s *Store) MultiSelectRO(preds []AttrPred, projs []string, disjunctive bool
 func (s *Store) disjunctive(set *Set, lo, hi int, used []*Map, tailAttrs []string,
 	tailOf map[string]int, others []AttrPred, projs []string) Result {
 
-	n := 0
-	if len(used) > 0 {
-		n = used[0].Len()
-	}
+	n := used[0].Len()
 	bv := bitvec.New(n)
 	bv.SetRange(lo, hi)
 	for _, ap := range others {
